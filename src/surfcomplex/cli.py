@@ -19,26 +19,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from . import seifert, toruscomplex
 from .toruscomplex import canonicalize
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    """Parsed invocation: one subcommand plus its flags."""
-
-    command: str
-    subcommand: str
-    output_format: str = "json"
-    vectors: tuple[tuple[int, ...], ...] = ()
-    height: int | None = None
-    dim: int | None = None
-    complex_kind: str | None = None
-    genus: int | None = None
-    b: int | None = None
-    fibers: tuple[tuple[int, int], ...] = ()
 
 
 def parse_vector(text: str) -> tuple[int, ...]:
@@ -114,69 +97,52 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(ns: argparse.Namespace) -> CliConfig:
-    vectors: tuple[tuple[int, ...], ...] = ()
-    if getattr(ns, "a", None) is not None:
-        vectors = (parse_vector(ns.a), parse_vector(ns.b))
-    elif getattr(ns, "vertices", None) is not None:
-        vectors = tuple(parse_vector(v) for v in ns.vertices)
-    elif getattr(ns, "vertex", None) is not None:
-        vectors = (parse_vector(ns.vertex),)
-    height = getattr(ns, "height", None)
-    if height is not None and height < 1:
+def _height(ns: argparse.Namespace) -> int:
+    if ns.height < 1:
         raise ValueError("height must be >= 1")
-    return CliConfig(
-        command=ns.command,
-        subcommand=getattr(ns, "subcommand", ""),
-        output_format=getattr(ns, "format", "json"),
-        vectors=vectors,
-        height=height,
-        dim=getattr(ns, "dim", None),
-        complex_kind=getattr(ns, "complex", None) or getattr(ns, "kind", None),
-        genus=getattr(ns, "genus", None),
-        b=getattr(ns, "b", None) if ns.command == "seifert" else None,
-        fibers=tuple(parse_fiber(f) for f in getattr(ns, "fiber", []) or []),
-    )
+    return ns.height
 
 
 def _emit_json(payload: dict) -> str:
     return json.dumps(payload, indent=2)
 
 
-def _run_torus_path(cfg: CliConfig) -> str:
-    a, b = canonicalize(cfg.vectors[0]), canonicalize(cfg.vectors[1])
+def _run_torus_path(ns: argparse.Namespace) -> str:
+    a, b = map(canonicalize, (parse_vector(ns.a), parse_vector(ns.b)))
     cert = toruscomplex.connect_path(a, b)
-    if cfg.output_format == "text":
+    if ns.format == "text":
         return " -> ".join(v.label for v in cert.waypoints)
     return _emit_json(cert.to_json_dict())
 
 
-def _run_torus_distance(cfg: CliConfig) -> str:
-    a, b = canonicalize(cfg.vectors[0]), canonicalize(cfg.vectors[1])
-    graph = toruscomplex.build_graph("surface-complex-s1", cfg.height)
+def _run_torus_distance(ns: argparse.Namespace) -> str:
+    vectors = (parse_vector(ns.a), parse_vector(ns.b))
+    height = _height(ns)
+    a, b = map(canonicalize, vectors)
+    graph = toruscomplex.build_graph("surface-complex-s1", height)
     dist = toruscomplex.bfs_distance(graph, a, b)
     value = "unreachable-in-truncation" if dist is None else dist
-    if cfg.output_format == "text":
+    if ns.format == "text":
         return str(value)
     return _emit_json(
         {
             "from": list(a.coords),
             "to": list(b.coords),
-            "height": cfg.height,
+            "height": height,
             "distance": value,
         }
     )
 
 
-def _run_torus_simplex(cfg: CliConfig) -> str:
-    vs = [canonicalize(v) for v in cfg.vectors]
-    n = cfg.dim if cfg.dim is not None else len(vs[0])
+def _run_torus_simplex(ns: argparse.Namespace) -> str:
+    vs = [canonicalize(v) for v in [parse_vector(text) for text in ns.vertices]]
+    n = ns.dim if ns.dim is not None else len(vs[0])
     payload: dict = {
-        "complex": cfg.complex_kind,
+        "complex": ns.complex,
         "dim": n,
         "vertices": [list(v.coords) for v in vs],
     }
-    if cfg.complex_kind == "surface":
+    if ns.complex == "surface":
         if n != 3:
             raise ValueError("the surface complex is implemented for dimension 3")
         if len(vs) < 2 or len(set(vs)) != len(vs):
@@ -201,7 +167,7 @@ def _run_torus_simplex(cfg: CliConfig) -> str:
                 cols = [v.coords for j, v in enumerate(vs) if j != omit]
                 facet_gcds.append(minors_gcd(IntMatrix.from_columns(cols), n))
             payload["facet_minors_gcds"] = facet_gcds
-    if cfg.output_format == "text":
+    if ns.format == "text":
         return "true" if payload["is_simplex"] else "false"
     return _emit_json(payload)
 
@@ -209,42 +175,43 @@ def _run_torus_simplex(cfg: CliConfig) -> str:
 _KIND_TAGS = {"finegold": "finegold-skeleton", "surface": "surface-complex-s1"}
 
 
-def _run_torus_graph(cfg: CliConfig) -> str:
-    kind = _KIND_TAGS[cfg.complex_kind]
-    graph = toruscomplex.build_graph(kind, cfg.height, n=cfg.dim)
-    if cfg.output_format == "dot":
+def _run_torus_graph(ns: argparse.Namespace) -> str:
+    graph = toruscomplex.build_graph(_KIND_TAGS[ns.kind], _height(ns), n=ns.dim)
+    if ns.format == "dot":
         return toruscomplex.graph_to_dot(graph).rstrip("\n")
     return _emit_json(toruscomplex.graph_to_json_dict(graph))
 
 
-def _run_torus_diameter(cfg: CliConfig) -> str:
-    graph = toruscomplex.build_graph("surface-complex-s1", cfg.height)
+def _run_torus_diameter(ns: argparse.Namespace) -> str:
+    graph = toruscomplex.build_graph("surface-complex-s1", _height(ns))
     diam, pair = toruscomplex.truncation_diameter(graph)
     value = "unreachable-in-truncation" if diam is None else diam
     pair_out = None if pair is None else [list(pair[0].coords), list(pair[1].coords)]
-    if cfg.output_format == "text":
+    if ns.format == "text":
         return f"{value} {pair_out}"
-    return _emit_json({"height": cfg.height, "diameter": value, "pair": pair_out})
+    return _emit_json({"height": ns.height, "diameter": value, "pair": pair_out})
 
 
-def _run_farey_neighbors(cfg: CliConfig) -> str:
-    v = canonicalize(cfg.vectors[0])
-    neighbors = toruscomplex.farey_neighbors(v, cfg.height)
-    if cfg.output_format == "text":
+def _run_farey_neighbors(ns: argparse.Namespace) -> str:
+    vector = parse_vector(ns.vertex)
+    height = _height(ns)
+    v = canonicalize(vector)
+    neighbors = toruscomplex.farey_neighbors(v, height)
+    if ns.format == "text":
         return "\n".join(u.label for u in neighbors)
     return _emit_json(
         {
             "vertex": list(v.coords),
-            "height": cfg.height,
+            "height": height,
             "neighbors": [list(u.coords) for u in neighbors],
         }
     )
 
 
-def _run_seifert_info(cfg: CliConfig) -> str:
-    inv = seifert.SeifertInvariants(cfg.genus, cfg.b, cfg.fibers)
+def _run_seifert_info(ns: argparse.Namespace) -> str:
+    inv = seifert.SeifertInvariants(ns.genus, ns.b, tuple(parse_fiber(f) for f in ns.fiber))
     payload = seifert.info_json_dict(inv)
-    if cfg.output_format == "text":
+    if ns.format == "text":
         fibers = " ".join(f"{a}:{b}" for a, b in payload["fibers"])
         return (
             f"verdict={payload['verdict']} e={payload['euler_number']} "
@@ -273,8 +240,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        cfg = _config_from_args(ns)
-        output = _DISPATCH[(cfg.command, cfg.subcommand)](cfg)
+        output = _DISPATCH[(ns.command, ns.subcommand)](ns)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

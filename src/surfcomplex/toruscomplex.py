@@ -26,9 +26,10 @@ the output is a self-certifying object rather than a bare assertion.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, product
+from math import gcd
 from typing import Sequence
 
 from .exactlin import (
@@ -46,6 +47,7 @@ __all__ = [
     "PathCertificate",
     "ComplexGraph",
     "GRAPH_KINDS",
+    "MAX_GRAPH_CANDIDATES",
     "canonicalize",
     "cross_product",
     "is_finegold_simplex",
@@ -137,6 +139,16 @@ def _require_distinct_3(a: ProjVector, b: ProjVector) -> None:
         raise ValueError("vertices must be distinct projective classes")
 
 
+def _minors_gcds(a: tuple[int, ...], bs: Sequence[tuple[int, ...]]) -> list[int]:
+    # The edge predicate: for each b in bs, the gcd of the 2x2 minors of
+    # (a b), 1 exactly on an edge; for n == 3, of the cross product.
+    if len(a) == 3:
+        a0, a1, a2 = a
+        return [gcd(a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0) for b0, b1, b2 in bs]
+    pairs = list(combinations(range(len(a)), 2))
+    return [gcd(*[a[i] * b[j] - a[j] * b[i] for i, j in pairs]) for b in bs]
+
+
 def s1_edge(a: ProjVector, b: ProjVector) -> bool:
     """Edge test for the surface-complex graph of the 3-torus.
 
@@ -145,8 +157,7 @@ def s1_edge(a: ProjVector, b: ProjVector) -> bool:
     Distinct classes are required; distinct essential tori in the 3-torus
     always meet, so a self-edge is meaningless.
     """
-    _require_distinct_3(a, b)
-    return content(cross_product(a.coords, b.coords)) == 1
+    return intersection_components(a, b) == 1
 
 
 def intersection_components(a: ProjVector, b: ProjVector) -> int:
@@ -156,7 +167,7 @@ def intersection_components(a: ProjVector, b: ProjVector) -> int:
     classes, and equal to 1 exactly when `s1_edge` holds.
     """
     _require_distinct_3(a, b)
-    return content(cross_product(a.coords, b.coords))
+    return _minors_gcds(a.coords, (b.coords,))[0]
 
 
 def is_finegold_simplex(vs: Sequence[ProjVector], n: int | None = None) -> bool:
@@ -351,12 +362,21 @@ def enumerate_vertices(n: int, height: int) -> list[ProjVector]:
 
 
 GRAPH_KINDS = ("finegold-skeleton", "surface-complex-s1")
+# build_graph refuses a truncation with more candidate vectors (2h+1)^n:
+# n = 3 up to height 7, n = 2 up to height 31.
+MAX_GRAPH_CANDIDATES = 4096
+
+
+def _members(bits: int) -> list[int]:
+    # Indices of the set bits, ascending.
+    return [i for i, c in enumerate(bin(bits)[:1:-1]) if c == "1"]
 
 
 @dataclass(frozen=True)
 class ComplexGraph:
     """A height-truncated 1-skeleton: vertices in lexicographic order,
-    edges as index pairs (i, j) with i < j."""
+    edges as index pairs (i, j) with i < j.  The vertex index and the
+    adjacency bitsets are derived on first use and kept."""
 
     kind: str
     height: int
@@ -379,32 +399,32 @@ class ComplexGraph:
     def dimension(self) -> int:
         return len(self.vertices[0]) if self.vertices else 0
 
+    @cached_property
+    def _index(self) -> dict[ProjVector, int]:
+        # Reversed, so a repeated vertex keeps its first index.
+        return {v: i for i, v in reversed(list(enumerate(self.vertices)))}
+
+    @cached_property
+    def adjacency(self) -> tuple[int, ...]:
+        """Bit j of adjacency[i] is set exactly when {i, j} is an edge."""
+        adj = [0] * len(self.vertices)
+        for i, j in self.edges:
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+        return tuple(adj)
+
     def index_of(self, v: ProjVector) -> int:
         try:
-            return self.vertices.index(v)
-        except ValueError:
+            return self._index[v]
+        except KeyError:
             raise ValueError(f"vertex ({v.label}) is not in the graph") from None
 
     def neighbors(self, i: int) -> list[int]:
-        out = []
-        for a, b in self.edges:
-            if a == i:
-                out.append(b)
-            elif b == i:
-                out.append(a)
-        return out
+        """Ascending neighbor indices; empty for an index outside the graph."""
+        return _members(self.adjacency[i]) if 0 <= i < len(self.vertices) else []
 
     def degree(self, v: ProjVector) -> int:
-        return len(self.neighbors(self.index_of(v)))
-
-
-def _pair_spans_edge(kind: str, a: ProjVector, b: ProjVector) -> bool:
-    if kind == "surface-complex-s1":
-        return s1_edge(a, b)
-    # Torus-complex 1-skeleton in any dimension: the pair is half of a
-    # unimodular matrix.  For n == 3 this coincides with s1_edge.
-    m = IntMatrix.from_columns([a.coords, b.coords])
-    return minors_gcd(m, 2) == 1
+        return self.adjacency[self.index_of(v)].bit_count()
 
 
 def build_graph(kind: str, height: int, n: int = 3) -> ComplexGraph:
@@ -414,40 +434,41 @@ def build_graph(kind: str, height: int, n: int = 3) -> ComplexGraph:
     "finegold-skeleton" kind also accepts other dimensions (n == 2 gives a
     fragment of the Farey graph), while "surface-complex-s1" is defined
     for n == 3 only.  The edge list is sorted and independent of
-    evaluation order.
+    evaluation order.  More than MAX_GRAPH_CANDIDATES (4096) candidate
+    vectors (2*height+1)**n raise ValueError before any enumeration.
     """
     if kind not in GRAPH_KINDS:
         raise ValueError(f"unknown graph kind {kind!r}")
     if kind == "surface-complex-s1" and n != 3:
         raise ValueError("surface-complex-s1 requires dimension 3")
-    vertices = enumerate_vertices(n, height)
+    # Checked before enumerating; with height >= 1, (2h+1)^n >= 2^n.
+    if height >= 1 and (n >= MAX_GRAPH_CANDIDATES.bit_length()
+                        or (2 * height + 1) ** n > MAX_GRAPH_CANDIDATES):
+        raise ValueError(f"truncation too large: (2*{height}+1)^{n} candidate vectors, "
+                         f"over the limit of {MAX_GRAPH_CANDIDATES}")
+    vertices = tuple(enumerate_vertices(n, height))
+    coords = [v.coords for v in vertices]
+    # Index ints come from one list, so the edge tuples share them.
+    idx = list(range(len(coords)))
     edges = tuple(
         (i, j)
-        for i, j in combinations(range(len(vertices)), 2)
-        if _pair_spans_edge(kind, vertices[i], vertices[j])
+        for i, a in zip(idx, coords)
+        for j, g in zip(idx[i + 1:], _minors_gcds(a, coords[i + 1:]))
+        if g == 1
     )
-    return ComplexGraph(kind=kind, height=height, vertices=tuple(vertices), edges=edges)
+    return ComplexGraph(kind=kind, height=height, vertices=vertices, edges=edges)
 
 
-def _adjacency(g: ComplexGraph) -> list[list[int]]:
-    adj: list[list[int]] = [[] for _ in g.vertices]
-    for i, j in g.edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    return adj
-
-
-def _bfs_from(adj: list[list[int]], start: int) -> list[int]:
-    dist = [-1] * len(adj)
-    dist[start] = 0
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        for w in adj[u]:
-            if dist[w] < 0:
-                dist[w] = dist[u] + 1
-                queue.append(w)
-    return dist
+def _bfs_layers(adj: tuple[int, ...], start: int):
+    # Bitsets of the vertices at distance 0, 1, 2, ... from start.
+    seen = layer = 1 << start
+    while layer:
+        yield layer
+        reach = 0
+        for k in _members(layer):
+            reach |= adj[k]
+        layer = reach & ~seen
+        seen |= layer
 
 
 def bfs_distance(g: ComplexGraph, a: ProjVector, b: ProjVector) -> int | None:
@@ -459,8 +480,8 @@ def bfs_distance(g: ComplexGraph, a: ProjVector, b: ProjVector) -> int | None:
     never an exact claim about it.
     """
     ia, ib = g.index_of(a), g.index_of(b)
-    dist = _bfs_from(_adjacency(g), ia)[ib]
-    return None if dist < 0 else dist
+    layers = _bfs_layers(g.adjacency, ia)
+    return next((dist for dist, layer in enumerate(layers) if layer >> ib & 1), None)
 
 
 def truncation_diameter(g: ComplexGraph) -> tuple[int | None, tuple[ProjVector, ProjVector] | None]:
@@ -470,17 +491,25 @@ def truncation_diameter(g: ComplexGraph) -> tuple[int | None, tuple[ProjVector, 
     truncation.  Deterministic: the lexicographically first realizing pair
     is reported.
     """
-    adj = _adjacency(g)
+    adj, vs = g.adjacency, g.vertices
     best = 0
     pair: tuple[ProjVector, ProjVector] | None = None
-    for i in range(len(g.vertices)):
-        dist = _bfs_from(adj, i)
-        for j in range(i + 1, len(g.vertices)):
-            if dist[j] < 0:
-                return None, (g.vertices[i], g.vertices[j])
-            if dist[j] > best:
-                best = dist[j]
-                pair = (g.vertices[i], g.vertices[j])
+    for i, near in enumerate(adj):
+        later = (1 << len(vs)) - (2 << i)
+        far = later & ~near
+        # Distance 2 through a common neighbor; a full BFS from i only when
+        # some later vertex has none.
+        if all(near & adj[j] for j in _members(far)):
+            layers = [near & later, far]
+        else:
+            layers = [layer & later for layer in _bfs_layers(adj, i)][1:]
+            missed = later & ~sum(layers)
+            if missed:
+                return None, (vs[i], vs[_members(missed)[0]])
+        for dist in range(len(layers), best, -1):
+            if layers[dist - 1]:
+                best, pair = dist, (vs[i], vs[_members(layers[dist - 1])[0]])
+                break
     return best, pair
 
 
@@ -493,11 +522,16 @@ def farey_neighbors(v: ProjVector, height: int) -> list[ProjVector]:
     """
     if len(v) != 2:
         raise ValueError("farey vertices have length 2")
+    if height < 1:
+        raise ValueError("height must be >= 1")
     p, q = v.coords
-    return [
-        u for u in enumerate_vertices(2, height)
-        if abs(p * u.coords[1] - q * u.coords[0]) == 1
-    ]
+    # Each neighbor class has one representative (r0, s0) + t*(p, q) with
+    # p*s - q*r == 1.  Clip t by the larger of |p| and |q|, check the other.
+    _, s0, r0 = xgcd(p, -q)
+    c0, step = (r0, p) if p >= abs(q) else (s0, q) if q > 0 else (-s0, -q)
+    ts = range(-((height + c0) // step), (height - c0) // step + 1)
+    line = [(r0 + t * p, s0 + t * q) for t in ts]
+    return sorted(canonicalize(u) for u in line if abs(u[0]) <= height and abs(u[1]) <= height)
 
 
 def graph_to_json_dict(g: ComplexGraph) -> dict:

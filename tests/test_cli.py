@@ -1,6 +1,7 @@
 """CLI behavior: output schemas, determinism, and exit codes."""
 
 import json
+import time
 
 import pytest
 
@@ -212,6 +213,17 @@ def test_bad_height_exits_2(capsys):
     code, _, err = run(capsys, "torus", "graph", "--height", "0")
     assert code == 2
     assert "height" in err
+
+
+def test_oversized_truncation_exits_2_quickly(capsys):
+    for argv in (("torus", "graph", "--height", "50"),
+                 ("torus", "distance", "1,0,0", "0,1,0", "--height", "50"),
+                 ("torus", "diameter", "--height", "50")):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 0.5
+        assert code == 2 and out == ""
+        assert "truncation too large" in err
 
 
 def test_determinism_of_path_output(capsys):

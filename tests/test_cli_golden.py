@@ -1,0 +1,27 @@
+"""Byte-for-byte CLI output on a fixed corpus of graph, diameter, distance
+and Farey invocations.
+
+`golden/cases.json` lists each invocation with its exit code (and, when
+nonempty, its stderr); `golden/<name>.out` holds its stdout.  The files
+were captured from the implementation that predates the bitset graph
+layer, so any drift in the CLI's output shows up here.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from surfcomplex.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+CASES = json.loads((GOLDEN / "cases.json").read_text())
+
+
+@pytest.mark.parametrize("case", CASES, ids=[c["name"] for c in CASES])
+def test_cli_output_matches_golden(capsys, case):
+    code = main(case["argv"])
+    captured = capsys.readouterr()
+    assert code == case["exit"]
+    assert captured.out == (GOLDEN / f"{case['name']}.out").read_text()
+    assert captured.err == case.get("stderr", "")

@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from surfcomplex import toruscomplex
 from surfcomplex.exactlin import IntMatrix, det
 from surfcomplex.toruscomplex import (
+    MAX_GRAPH_CANDIDATES,
     ComplexGraph,
     ProjVector,
     bfs_distance,
@@ -294,10 +296,11 @@ def test_build_graph_height_1():
 
 
 def test_build_graph_kinds_agree_for_n3():
-    a = build_graph("surface-complex-s1", 2)
-    b = build_graph("finegold-skeleton", 2)
-    assert a.vertices == b.vertices
-    assert a.edges == b.edges
+    for h in range(1, 5):
+        a = build_graph("surface-complex-s1", h)
+        b = build_graph("finegold-skeleton", h)
+        assert a.vertices == b.vertices
+        assert a.edges == b.edges
 
 
 def test_build_graph_farey_fragment():
@@ -314,11 +317,50 @@ def test_build_graph_rejects_bad_input():
         build_graph("nonsense", 1)
 
 
+def test_build_graph_refuses_large_truncations_up_front(monkeypatch):
+    """The candidate count (2h+1)^n is checked before any enumeration."""
+
+    class Enumerated(Exception):
+        pass
+
+    def enumerate_stub(n, height):
+        raise Enumerated
+
+    monkeypatch.setattr(toruscomplex, "enumerate_vertices", enumerate_stub)
+    assert 15**3 <= MAX_GRAPH_CANDIDATES < 17**3
+    assert 63**2 <= MAX_GRAPH_CANDIDATES < 65**2
+    for kind, h, n in (("surface-complex-s1", 7, 3), ("finegold-skeleton", 31, 2)):
+        with pytest.raises(Enumerated):
+            build_graph(kind, h, n)
+    for kind, h, n in (("surface-complex-s1", 8, 3), ("finegold-skeleton", 32, 2),
+                       ("finegold-skeleton", 1, 10**9), ("surface-complex-s1", 10**30, 3)):
+        with pytest.raises(ValueError, match="truncation too large"):
+            build_graph(kind, h, n)
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match="height must be >= 1"):
+        build_graph("finegold-skeleton", 0, 20)
+
+
 def test_build_graph_deterministic():
     assert build_graph("surface-complex-s1", 2) == build_graph("surface-complex-s1", 2)
 
 
 # ------------------------------------------------------------------- BFS
+
+
+def test_graph_queries_match_a_scan_of_edges():
+    for h in (1, 2, 3):
+        g = build_graph("surface-complex-s1", h)
+        for i, v in enumerate(g.vertices):
+            scan = sorted([b for a, b in g.edges if a == i] + [a for a, b in g.edges if b == i])
+            assert g.neighbors(i) == scan
+            assert g.degree(v) == len(scan)
+            assert g.index_of(v) == i
+            assert g.adjacency[i] == sum(1 << j for j in scan)
+        assert g.neighbors(-1) == g.neighbors(len(g.vertices)) == []
+    # A repeated vertex keeps its first index, as with tuple.index.
+    twice = ComplexGraph("surface-complex-s1", 1, (V(1, 0, 0), V(0, 1, 0), V(1, 0, 0)), ())
+    assert twice.index_of(V(1, 0, 0)) == 0
 
 
 def test_bfs_distance_examples():
@@ -374,9 +416,23 @@ def test_farey_neighbors_examples():
     assert {(1, 2), (2, 1)} <= two
 
 
+def test_farey_neighbors_match_brute_force():
+    """The solution-line construction equals filtering every candidate of
+    the height box, for every canonical (p, q) at heights 1-24 and for a
+    few vertices outside the box."""
+    for h in range(1, 25):
+        box = enumerate_vertices(2, h)
+        for v in box + [V(30, 7), V(1, 50), V(13, -40)]:
+            p, q = v.coords
+            want = [u for u in box if abs(p * u.coords[1] - q * u.coords[0]) == 1]
+            assert farey_neighbors(v, h) == want, (v, h)
+
+
 def test_farey_neighbors_rejects_wrong_length():
     with pytest.raises(ValueError):
         farey_neighbors(V(1, 0, 0), 1)
+    with pytest.raises(ValueError, match="height"):
+        farey_neighbors(V(1, 0), 0)
 
 
 # --------------------------------------------------------- serialization
