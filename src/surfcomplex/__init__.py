@@ -8,7 +8,6 @@ from .exactlin import (
     content,
     det,
     invariant_factors,
-    inverse_unimodular,
     minors_gcd,
     smith_normal_form,
     xgcd,

@@ -155,18 +155,9 @@ def _run_torus_simplex(ns: argparse.Namespace) -> str:
         payload["is_simplex"] = all(g == 1 for _, _, g in pair_gcds)
         payload["pair_minor_gcds"] = pair_gcds
     else:
-        from .exactlin import IntMatrix, minors_gcd
-
+        gcds = toruscomplex.finegold_minors(vs, n)
         payload["is_simplex"] = toruscomplex.is_finegold_simplex(vs, n)
-        if len(vs) <= n:
-            m = IntMatrix.from_columns([v.coords for v in vs])
-            payload["minors_gcd"] = minors_gcd(m, len(vs))
-        else:
-            facet_gcds = []
-            for omit in range(len(vs)):
-                cols = [v.coords for j, v in enumerate(vs) if j != omit]
-                facet_gcds.append(minors_gcd(IntMatrix.from_columns(cols), n))
-            payload["facet_minors_gcds"] = facet_gcds
+        payload["facet_minors_gcds" if isinstance(gcds, list) else "minors_gcd"] = gcds
     if ns.format == "text":
         return "true" if payload["is_simplex"] else "false"
     return _emit_json(payload)

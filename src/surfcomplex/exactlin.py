@@ -28,7 +28,6 @@ __all__ = [
     "invariant_factors",
     "content",
     "complete_to_unimodular",
-    "inverse_unimodular",
 ]
 
 
@@ -402,29 +401,3 @@ def complete_to_unimodular(v: Sequence[int]) -> IntMatrix:
         raise RuntimeError("unimodular completion failed verification")
     return out
 
-
-def inverse_unimodular(A: IntMatrix) -> IntMatrix:
-    """Exact inverse of a matrix with determinant +-1, via the adjugate."""
-    if A.rows != A.cols:
-        raise ValueError("inverse of a non-square matrix")
-    d = det(A)
-    if d not in (1, -1):
-        raise ValueError(f"matrix is not unimodular (determinant {d})")
-    n = A.rows
-    if n == 1:
-        return A
-    inv = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            minor = IntMatrix(
-                tuple(
-                    tuple(A.entries[r][c] for c in range(n) if c != i)
-                    for r in range(n)
-                    if r != j
-                )
-            )
-            sign = -1 if (i + j) % 2 else 1
-            row.append(d * sign * det(minor))
-        inv.append(tuple(row))
-    return IntMatrix(tuple(inv))

@@ -26,21 +26,14 @@ the output is a self-certifying object rather than a bare assertion.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, product
 from math import gcd
 from typing import Sequence
 
-from .exactlin import (
-    IntMatrix,
-    complete_to_unimodular,
-    content,
-    det,
-    inverse_unimodular,
-    minors_gcd,
-    xgcd,
-)
+from .exactlin import IntMatrix, complete_to_unimodular, content, minors_gcd, xgcd
 
 __all__ = [
     "ProjVector",
@@ -50,6 +43,7 @@ __all__ = [
     "MAX_GRAPH_CANDIDATES",
     "canonicalize",
     "cross_product",
+    "finegold_minors",
     "is_finegold_simplex",
     "s1_edge",
     "intersection_components",
@@ -170,14 +164,11 @@ def intersection_components(a: ProjVector, b: ProjVector) -> int:
     return _minors_gcds(a.coords, (b.coords,))[0]
 
 
-def is_finegold_simplex(vs: Sequence[ProjVector], n: int | None = None) -> bool:
-    """Simplex test of the torus complex over SL(n, Z).
-
-    For k+1 <= n vertices: true when the gcd of the (k+1)x(k+1) minors of
-    the n x (k+1) matrix of representatives is 1 (for k+1 == n this is
-    |det| == 1; flipping one representative's sign realizes +1 within the
-    same classes).  For n+1 vertices: true when all n+1 facets span.
-    """
+def finegold_minors(vs: Sequence[ProjVector], n: int | None = None) -> int | list[int]:
+    """The minor gcds behind `is_finegold_simplex`: for k+1 <= n vertices,
+    the gcd of the (k+1)x(k+1) minors of the n x (k+1) matrix of
+    representatives; for n+1 vertices, the list of the n x n minor gcds of
+    the facets, omitting vertex 0, 1, ..., n in turn."""
     vs = list(vs)
     if n is None:
         n = len(vs[0]) if vs else 0
@@ -187,13 +178,18 @@ def is_finegold_simplex(vs: Sequence[ProjVector], n: int | None = None) -> bool:
         raise ValueError(f"simplex size {len(vs)} out of range for dimension {n}")
     if len(set(vs)) != len(vs):
         raise ValueError("repeated projective class")
+    cols = [v.coords for v in vs]
     if len(vs) <= n:
-        m = IntMatrix.from_columns([v.coords for v in vs])
-        return minors_gcd(m, len(vs)) == 1
-    return all(
-        is_finegold_simplex([v for j, v in enumerate(vs) if j != omit], n)
-        for omit in range(len(vs))
-    )
+        return minors_gcd(IntMatrix.from_columns(cols), len(vs))
+    return [minors_gcd(IntMatrix.from_columns(cols[:j] + cols[j + 1:]), n) for j in range(len(cols))]
+
+
+def is_finegold_simplex(vs: Sequence[ProjVector], n: int | None = None) -> bool:
+    """Simplex test of the torus complex over SL(n, Z): true when every gcd
+    of `finegold_minors` is 1 (for k+1 == n vertices, |det| == 1; flipping
+    one representative's sign realizes +1 within the same classes)."""
+    gcds = finegold_minors(vs, n)
+    return all(g == 1 for g in (gcds if isinstance(gcds, list) else [gcds]))
 
 
 def _bezout_coefficients(values: Sequence[int]) -> tuple[int, tuple[int, ...]]:
@@ -208,20 +204,51 @@ def _bezout_coefficients(values: Sequence[int]) -> tuple[int, tuple[int, ...]]:
     return g, tuple(coeffs)
 
 
+def _det3(x: Sequence[int], y: Sequence[int], z: Sequence[int]) -> int:
+    # Determinant of the 3x3 matrix with rows (or columns) x, y, z.
+    c = cross_product(y, z)
+    return x[0] * c[0] + x[1] * c[1] + x[2] * c[2]
+
+
+def _check_edge(u: ProjVector, v: ProjVector, w: IntMatrix) -> None:
+    # The one check of an edge's witness: columns (u, v, *) and
+    # det == (u x v) . w == 1, which also makes u != v and the 2x2 minors
+    # of (u v) coprime, i.e. (u, v) an edge.
+    cols = tuple(zip(*w.entries))
+    if w.rows != 3 or len(cols) != 3 or cols[:2] != (u.coords, v.coords):
+        raise ValueError("witness columns do not match the edge")
+    if _det3(*cols) != 1:
+        raise ValueError("witness determinant is not 1")
+
+
+@contextmanager
+def _building():
+    # Once the inputs are accepted, a ValueError is an internal fault of the
+    # construction, not invalid input.
+    try:
+        yield
+    except ValueError as exc:
+        raise RuntimeError(f"certificate construction failed: {exc}") from exc
+
+
+def _witness(u: ProjVector, v: ProjVector) -> IntMatrix:
+    # (u | v | w) with w the Bezout vector of u x v, unchecked.
+    _, w = _bezout_coefficients(cross_product(u.coords, v.coords))
+    return IntMatrix.from_columns([u.coords, v.coords, w])
+
+
 def edge_witness(a: ProjVector, b: ProjVector) -> IntMatrix:
     """Determinant-1 matrix whose first two columns represent the edge (a, b).
 
     The third column w solves (a x b) . w == 1, which exists exactly when
     the pair spans an edge; det(a | b | w) == (a x b) . w == 1 exactly.
     """
-    _require_distinct_3(a, b)
-    c = cross_product(a.coords, b.coords)
-    g, w = _bezout_coefficients(c)
+    g = intersection_components(a, b)
     if g != 1:
         raise ValueError(f"not an edge: pair meets in {g} components")
-    m = IntMatrix.from_columns([a.coords, b.coords, w])
-    if det(m) != 1:
-        raise RuntimeError("edge witness failed determinant verification")
+    m = _witness(a, b)
+    with _building():
+        _check_edge(a, b, m)
     return m
 
 
@@ -229,11 +256,12 @@ def edge_witness(a: ProjVector, b: ProjVector) -> IntMatrix:
 class PathCertificate:
     """A path of at most two edges, carrying its own proof.
 
-    `waypoints` lists the visited classes (two or three of them);
+    `waypoints` lists the visited classes (two or three distinct ones);
     `witnesses` holds one determinant-1 matrix per edge whose first two
     columns are the canonical representatives of that edge's endpoints;
     `transform` is the unimodular coordinate change used during
-    construction (identity when none was needed).
+    construction (identity when none was needed).  Construction verifies
+    all of this, and is the one place where certificates are verified.
     """
 
     waypoints: tuple[ProjVector, ...]
@@ -243,19 +271,16 @@ class PathCertificate:
     def __post_init__(self) -> None:
         if len(self.waypoints) not in (2, 3):
             raise ValueError("a certificate has two or three waypoints")
+        if len(set(self.waypoints)) != len(self.waypoints):
+            raise ValueError("waypoints must be distinct classes")
         if len(self.witnesses) != len(self.waypoints) - 1:
             raise ValueError("one witness per edge required")
         if self.transform.rows != 3 or self.transform.cols != 3:
             raise ValueError("transform must be 3x3")
-        if det(self.transform) != 1:
+        if _det3(*self.transform.entries) != 1:
             raise ValueError("transform must have determinant 1")
         for u, v, w in zip(self.waypoints, self.waypoints[1:], self.witnesses):
-            if not s1_edge(u, v):
-                raise ValueError(f"({u.label}) -- ({v.label}) is not an edge")
-            if det(w) != 1:
-                raise ValueError("witness determinant is not 1")
-            if w.column(0) != u.coords or w.column(1) != v.coords:
-                raise ValueError("witness columns do not match the edge")
+            _check_edge(u, v, w)
 
     @property
     def num_edges(self) -> int:
@@ -268,11 +293,6 @@ class PathCertificate:
             "witnesses": [w.to_lists() for w in self.witnesses],
             "transform": self.transform.to_lists(),
         }
-
-
-# Cyclic permutation sending e1 -> e3 (and e2 -> e1, e3 -> e2); det +1.
-_P_E1_TO_E3 = IntMatrix(((0, 1, 0), (0, 0, 1), (1, 0, 0)))
-_E3 = (0, 0, 1)
 
 
 def _transverse_pair(a: int, b: int) -> tuple[int, int]:
@@ -300,45 +320,46 @@ def _transverse_pair(a: int, b: int) -> tuple[int, int]:
 def two_hop_path(a: ProjVector, b: ProjVector) -> PathCertificate:
     """Constructive two-edge path from a to b, never taking a shortcut.
 
-    A unimodular change of coordinates T sends b to (0,0,1); writing
-    T a = (p, q, r), the Euclidean algorithm yields (x, y) with
-    p*y - q*x == gcd(p, q), and (x, y, 0) is adjacent to both transformed
-    endpoints.  Pulling (x, y, 0) back through T^-1 gives the intermediate
-    vertex; witnesses are then completed and verified edge by edge.
+    With (b | c1 | c2) of determinant 1 (the completion of b, or the
+    standard basis when b is (0,0,1)), T with rows (c2 x b, b x c1, c1 x c2)
+    sends b to (0,0,1).  Writing T a = (p, q, r), the Euclidean algorithm
+    yields (x, y) with p*y - q*x == gcd(p, q); (x, y, 0) is adjacent to both
+    transformed endpoints, and T^-1 (x, y, 0) = x*c1 + y*c2 is the middle.
     """
     _require_distinct_3(a, b)
-    if b.coords == _E3:
-        t = IntMatrix.identity(3)
-        t_inv = t
-    else:
-        completion = complete_to_unimodular(b.coords)
-        t = _P_E1_TO_E3 @ inverse_unimodular(completion)
-        t_inv = inverse_unimodular(t)
-    p, q, _ = t.apply(a.coords)
-    x, y = _transverse_pair(p, q)
-    mid = canonicalize(t_inv.apply((x, y, 0)))
-    return PathCertificate(
-        waypoints=(a, mid, b),
-        witnesses=(edge_witness(a, mid), edge_witness(mid, b)),
-        transform=t,
-    )
+    with _building():
+        if b.coords == (0, 0, 1):
+            c1, c2 = (1, 0, 0), (0, 1, 0)
+        else:
+            _, c1, c2 = zip(*complete_to_unimodular(b.coords).entries)
+        t = (cross_product(c2, b.coords), cross_product(b.coords, c1), cross_product(c1, c2))
+        p, q = (sum(e * f for e, f in zip(row, a.coords)) for row in t[:2])
+        x, y = _transverse_pair(p, q)
+        mid = canonicalize(tuple(x * e + y * f for e, f in zip(c1, c2)))
+        return PathCertificate(
+            waypoints=(a, mid, b),
+            witnesses=(_witness(a, mid), _witness(mid, b)),
+            transform=IntMatrix(t),
+        )
 
 
 def connect_path(a: ProjVector, b: ProjVector) -> PathCertificate:
     """Certified path of at most two edges between distinct classes.
 
     One hop when (a, b) is already an edge; otherwise the constructive
-    route of `two_hop_path`.  Every witness matrix has determinant exactly
-    1 and is verified before the certificate is returned.
+    route of `two_hop_path`.  The certificate verifies every witness
+    (determinant exactly 1) as it is constructed; a failure there is an
+    internal fault and raises RuntimeError.
     """
     _require_distinct_3(a, b)
-    if content(cross_product(a.coords, b.coords)) == 1:
+    if content(cross_product(a.coords, b.coords)) != 1:
+        return two_hop_path(a, b)
+    with _building():
         return PathCertificate(
             waypoints=(a, b),
-            witnesses=(edge_witness(a, b),),
+            witnesses=(_witness(a, b),),
             transform=IntMatrix.identity(3),
         )
-    return two_hop_path(a, b)
 
 
 def enumerate_vertices(n: int, height: int) -> list[ProjVector]:
@@ -518,7 +539,8 @@ def farey_neighbors(v: ProjVector, height: int) -> list[ProjVector]:
 
     For v = (p, q), these are the canonical (r, s) with max-norm <= height
     and |p*s - q*r| == 1: classes of curves on the 2-torus meeting a curve
-    of slope v exactly once.
+    of slope v exactly once.  A walk over more than MAX_GRAPH_CANDIDATES
+    points of their line raises ValueError before any vector is built.
     """
     if len(v) != 2:
         raise ValueError("farey vertices have length 2")
@@ -530,6 +552,9 @@ def farey_neighbors(v: ProjVector, height: int) -> list[ProjVector]:
     _, s0, r0 = xgcd(p, -q)
     c0, step = (r0, p) if p >= abs(q) else (s0, q) if q > 0 else (-s0, -q)
     ts = range(-((height + c0) // step), (height - c0) // step + 1)
+    if ts.stop - ts.start > MAX_GRAPH_CANDIDATES:
+        raise ValueError(f"truncation too large: {ts.stop - ts.start} candidate neighbors, "
+                         f"over the limit of {MAX_GRAPH_CANDIDATES}")
     line = [(r0 + t * p, s0 + t * q) for t in ts]
     return sorted(canonicalize(u) for u in line if abs(u[0]) <= height and abs(u[1]) <= height)
 

@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from surfcomplex import toruscomplex
 from surfcomplex.cli import main, parse_fiber, parse_vector
 
 
@@ -224,6 +225,45 @@ def test_oversized_truncation_exits_2_quickly(capsys):
         assert time.perf_counter() - start < 0.5
         assert code == 2 and out == ""
         assert "truncation too large" in err
+
+
+def test_oversized_farey_query_exits_2_quickly(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "farey", "neighbors", "1,0", "--height", "1000000000")
+    assert time.perf_counter() - start < 0.5
+    assert code == 2 and out == ""
+    assert err.startswith("error: truncation too large")
+
+
+_transverse_pair = toruscomplex._transverse_pair
+_bezout_coefficients = toruscomplex._bezout_coefficients
+
+
+def _doubled_transverse_pair(p, q):
+    x, y = _transverse_pair(p, q)
+    return 2 * x, 2 * y
+
+
+def _doubled_bezout_column(values):
+    g, w = _bezout_coefficients(values)
+    return g, tuple(2 * e for e in w)
+
+
+@pytest.mark.parametrize("argv", [("1,2,0", "1,0,0"), ("2,4,1", "0,0,1")])
+def test_broken_middle_pair_is_an_internal_error(capsys, monkeypatch, argv):
+    """Accepted inputs whose construction goes wrong exit 1, not 2."""
+    monkeypatch.setattr(toruscomplex, "_transverse_pair", _doubled_transverse_pair)
+    code, out, err = run(capsys, "torus", "path", *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("internal error:")
+
+
+@pytest.mark.parametrize("argv", [("1,2,0", "1,0,0"), ("2,3,5", "0,0,1")])
+def test_broken_bezout_column_is_an_internal_error(capsys, monkeypatch, argv):
+    monkeypatch.setattr(toruscomplex, "_bezout_coefficients", _doubled_bezout_column)
+    code, out, err = run(capsys, "torus", "path", *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("internal error:")
 
 
 def test_determinism_of_path_output(capsys):

@@ -1,10 +1,12 @@
-"""Byte-for-byte CLI output on a fixed corpus of graph, diameter, distance
-and Farey invocations.
+"""Byte-for-byte CLI output on a fixed corpus of graph, diameter, distance,
+Farey, path and simplex invocations.
 
 `golden/cases.json` lists each invocation with its exit code (and, when
-nonempty, its stderr); `golden/<name>.out` holds its stdout.  The files
-were captured from the implementation that predates the bitset graph
-layer, so any drift in the CLI's output shows up here.
+nonempty, its stderr); `golden/<name>.out` holds its stdout.  The graph,
+diameter, distance and Farey files were captured from the implementation
+that predates the bitset graph layer, the path and simplex files from the
+one that predates the closed-form certificate layer, so any drift in the
+CLI's output shows up here.
 """
 
 import json

@@ -18,7 +18,6 @@ from surfcomplex.exactlin import (
     content,
     det,
     invariant_factors,
-    inverse_unimodular,
     minors_gcd,
     smith_normal_form,
     xgcd,
@@ -296,15 +295,6 @@ def test_complete_to_unimodular_random_large(v):
     m = complete_to_unimodular(v)
     assert m.column(0) == v
     assert det(m) == 1
-
-
-def test_inverse_unimodular():
-    m = complete_to_unimodular((2, 3, 5))
-    inv = inverse_unimodular(m)
-    assert m @ inv == IntMatrix.identity(3)
-    assert inv @ m == IntMatrix.identity(3)
-    with pytest.raises(ValueError):
-        inverse_unimodular(IntMatrix(((2, 0), (0, 1))))
 
 
 # --------------------------------------------------------------- matrix

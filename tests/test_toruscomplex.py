@@ -13,6 +13,7 @@ from surfcomplex.exactlin import IntMatrix, det
 from surfcomplex.toruscomplex import (
     MAX_GRAPH_CANDIDATES,
     ComplexGraph,
+    PathCertificate,
     ProjVector,
     bfs_distance,
     build_graph,
@@ -21,6 +22,7 @@ from surfcomplex.toruscomplex import (
     edge_witness,
     enumerate_vertices,
     farey_neighbors,
+    finegold_minors,
     graph_to_dot,
     graph_to_json_dict,
     intersection_components,
@@ -144,6 +146,16 @@ def test_simplex_error_cases():
         is_finegold_simplex([V(1, 0), V(0, 1)], 3)
 
 
+def test_finegold_minors_values():
+    assert finegold_minors([V(1, 0, 0), V(0, 1, 0), V(1, 1, 2)]) == 2
+    assert finegold_minors([V(2, 3, 5), V(1, 2, 0)], 3) == 1
+    assert finegold_minors([V(1, 0, 0), V(1, 2, 0)]) == 2
+    assert finegold_minors([V(1, 0, 0), V(0, 1, 0), V(0, 0, 1), V(1, 1, 2)]) == [1, 1, 2, 1]
+    assert finegold_minors([V(1, 0), V(0, 1), V(1, 1)]) == [1, 1, 1]
+    with pytest.raises(ValueError, match="repeated"):
+        finegold_minors([V(1, 0, 0)] * 2)
+
+
 def test_four_vertex_simplex_facet_rule():
     quad = [V(1, 0, 0), V(0, 1, 0), V(0, 0, 1), V(1, 1, 1)]
     assert is_finegold_simplex(quad, 3)
@@ -261,6 +273,80 @@ def test_connect_path_random_large(u, w):
 def test_edge_witness_rejects_non_edges():
     with pytest.raises(ValueError):
         edge_witness(V(1, 0, 0), V(1, 2, 0))
+
+
+def _with_column(w, j, col):
+    cols = [w.column(k) for k in range(3)]
+    cols[j] = tuple(col)
+    return IntMatrix.from_columns(cols)
+
+
+def test_path_certificate_rejects_forgeries():
+    """A hand-built certificate is checked by PathCertificate alone and
+    raises ValueError on each kind of forgery."""
+    a, mid, b = V(2, 3, 5), V(1, 2, 0), V(0, 0, 1)
+    cert = two_hop_path(a, b)
+    assert cert.waypoints == (a, mid, b)
+    w0, w1 = cert.witnesses
+    ident = IntMatrix.identity(3)
+    c0, c1, c2 = (w0.column(k) for k in range(3))
+    back = IntMatrix.from_columns([c1, c0, [-e for e in c2]])  # a det-1 witness of (mid, a)
+    columns, det1 = "witness columns do not match", "witness determinant is not 1"
+    forgeries = [
+        (columns, (a, mid, b), (IntMatrix.from_columns([c1, c0, c2]), w1), ident),
+        (columns, (a, mid, b), (back, w1), ident),
+        (det1, (a, mid, b), (_with_column(w0, 2, [2 * e for e in c2]), w1), ident),
+        (det1, (a, mid, b), (w0, _with_column(w1, 2, [-e for e in w1.column(2)])), ident),
+        ("distinct", (a, a, b), (w0, w1), ident),
+        ("distinct", (a, mid, a), (w0, back), ident),
+        ("transform must have determinant 1", (a, mid, b), (w0, w1),
+         IntMatrix(((0, 1, 0), (1, 0, 0), (0, 0, 1)))),
+        ("transform must be 3x3", (a, mid, b), (w0, w1), IntMatrix.identity(2)),
+        ("transform must be 3x3", (a, mid, b), (w0, w1), IntMatrix(((1, 0, 0, 0),) * 3)),
+        ("one witness per edge", (a, mid, b), (w0,), ident),
+        ("one witness per edge", (a, mid), (w0, w1), ident),
+        ("two or three waypoints", (a,), (), ident),
+        (columns, (a, mid, b), (IntMatrix.from_columns([c0, c1]), w1), ident),
+    ]
+    for message, waypoints, witnesses, transform in forgeries:
+        with pytest.raises(ValueError, match=message):
+            PathCertificate(waypoints, witnesses, transform)
+    assert PathCertificate(cert.waypoints, cert.witnesses, cert.transform) == cert
+    assert PathCertificate((mid, a), (back,), ident).num_edges == 1
+
+
+_transverse_pair = toruscomplex._transverse_pair
+_bezout_coefficients = toruscomplex._bezout_coefficients
+
+
+def _doubled_transverse_pair(p, q):
+    x, y = _transverse_pair(p, q)
+    return 2 * x, 2 * y
+
+
+def _negated_bezout_column(values):
+    g, w = _bezout_coefficients(values)
+    return g, tuple(-e for e in w)
+
+
+def test_construction_faults_raise_runtime_error(monkeypatch):
+    """Once the inputs are accepted, a fault in building or verifying the
+    certificate is an internal error, never invalid input."""
+    monkeypatch.setattr(toruscomplex, "_transverse_pair", _doubled_transverse_pair)
+    for a, b in ((V(1, 2, 0), V(1, 0, 0)), (V(2, 4, 1), V(0, 0, 1))):
+        with pytest.raises(RuntimeError, match="not primitive"):
+            connect_path(a, b)
+        with pytest.raises(RuntimeError):
+            two_hop_path(a, b)
+    monkeypatch.undo()
+    monkeypatch.setattr(toruscomplex, "_bezout_coefficients", _negated_bezout_column)
+    with pytest.raises(RuntimeError, match="determinant"):
+        connect_path(V(1, 0, 0), V(0, 1, 0))
+    with pytest.raises(RuntimeError, match="determinant"):
+        edge_witness(V(1, 0, 0), V(0, 1, 0))
+    # Invalid input stays a ValueError.
+    with pytest.raises(ValueError):
+        connect_path(V(1, 0, 0), V(1, 0, 0))
 
 
 # ----------------------------------------------------------- enumeration
@@ -426,6 +512,17 @@ def test_farey_neighbors_match_brute_force():
             p, q = v.coords
             want = [u for u in box if abs(p * u.coords[1] - q * u.coords[0]) == 1]
             assert farey_neighbors(v, h) == want, (v, h)
+
+
+def test_farey_neighbors_size_guard():
+    """More than MAX_GRAPH_CANDIDATES points on the line of neighbors are
+    refused before any vector is built."""
+    limit = MAX_GRAPH_CANDIDATES // 2 - 1  # 2h + 1 points for (1, 0) and (0, 1)
+    assert len(farey_neighbors(V(1, 0), limit)) == 2 * limit + 1
+    assert len(farey_neighbors(V(0, 1), limit)) == 2 * limit + 1
+    for v, h in ((V(1, 0), limit + 1), (V(0, 1), limit + 1), (V(1, 1), 10**9), (V(3, 8), 10**30)):
+        with pytest.raises(ValueError, match="truncation too large"):
+            farey_neighbors(v, h)
 
 
 def test_farey_neighbors_rejects_wrong_length():
