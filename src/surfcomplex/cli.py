@@ -225,6 +225,19 @@ _DISPATCH = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    # Exact at any magnitude: lift Python's int/str digit limit while
+    # parsing and printing, and restore it for in-process callers.
+    saved = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if saved is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv)
+    finally:
+        if saved is not None:
+            sys.set_int_max_str_digits(saved)
+
+
+def _run(argv: list[str] | None) -> int:
     parser = _build_parser()
     try:
         ns = parser.parse_args(argv)

@@ -3,9 +3,9 @@
 Everything here is exact: no floats, no modular shortcuts, no overflow.
 The module supplies the kernels the rest of the package is built on:
 extended gcd with a deterministic minimal Bezout pair, fraction-free
-determinants, gcds of k x k minors, Smith normal form with unimodular
-certificate matrices, and completion of a primitive vector to a
-determinant-1 matrix.
+determinants, Smith normal form with unimodular certificate matrices,
+gcds of k x k minors read from its invariant factors, and completion of
+a primitive vector to a determinant-1 matrix.
 
 All values are immutable once constructed and safe to share between
 threads; every function is a pure function of its inputs.
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -193,18 +192,12 @@ def minors_gcd(A: IntMatrix, k: int) -> int:
 
     This is the SL(n, Z)-submatrix criterion in computable form: an n x k
     integer matrix extends to a unimodular matrix exactly when the gcd of
-    its k x k minors is 1.
+    its k x k minors is 1.  By the determinantal divisor theorem (Newman,
+    Integral Matrices) that gcd is d1 * ... * dk, the first k invariant factors.
     """
     if k < 1 or k > min(A.rows, A.cols):
         raise ValueError(f"minor size {k} out of range for {A.rows}x{A.cols}")
-    g = 0
-    for rs in combinations(range(A.rows), k):
-        for cs in combinations(range(A.cols), k):
-            sub = IntMatrix(tuple(tuple(A.entries[i][j] for j in cs) for i in rs))
-            g = math.gcd(g, det(sub))
-            if g == 1:
-                return 1
-    return g
+    return math.prod(invariant_factors(A)[:k])
 
 
 def _combine_rows(M: list[list[int]], t: int, i: int, x: int, y: int, p: int, q: int) -> None:
@@ -227,13 +220,9 @@ def _swap_cols(M: list[list[int]], a: int, b: int) -> None:
         row[a], row[b] = row[b], row[a]
 
 
-def _snf_core(
-    rows_in: Sequence[Sequence[int]], track: bool
-) -> tuple[list[list[int]], list[list[int]] | None, list[list[int]] | None]:
-    m, n = len(rows_in), len(rows_in[0])
-    D = [list(row) for row in rows_in]
-    U = [[int(i == j) for j in range(m)] for i in range(m)] if track else None
-    V = [[int(i == j) for j in range(n)] for i in range(n)] if track else None
+def _snf_core(D: list[list[int]], m: int, n: int) -> None:
+    """Reduce the top-left m x n block of D to Smith form in place; the
+    row operations act on whole rows and the column operations on every row."""
     size = min(m, n)
 
     # When the pivot divides the target, plain subtraction clears it and
@@ -251,13 +240,9 @@ def _snf_core(
             if b % a == 0:
                 q = b // a
                 D[i] = [w - q * u for u, w in zip(D[t], D[i])]
-                if track:
-                    U[i] = [w - q * u for u, w in zip(U[t], U[i])]
             else:
                 g, x, y = xgcd(a, b)
                 _combine_rows(D, t, i, x, y, a // g, b // g)
-                if track:
-                    _combine_rows(U, t, i, x, y, a // g, b // g)
             changed = True
         return changed
 
@@ -272,14 +257,9 @@ def _snf_core(
                 q = b // a
                 for row in D:
                     row[j] -= q * row[t]
-                if track:
-                    for row in V:
-                        row[j] -= q * row[t]
             else:
                 g, x, y = xgcd(a, b)
                 _combine_cols(D, t, j, x, y, a // g, b // g)
-                if track:
-                    _combine_cols(V, t, j, x, y, a // g, b // g)
             changed = True
         return changed
 
@@ -306,12 +286,8 @@ def _snf_core(
         i, j = piv
         if i != t:
             D[t], D[i] = D[i], D[t]
-            if track:
-                U[t], U[i] = U[i], U[t]
         if j != t:
             _swap_cols(D, t, j)
-            if track:
-                _swap_cols(V, t, j)
         reduce_at(t)
 
     # Enforce the divisibility chain d1 | d2 | ... by splicing offending
@@ -321,11 +297,8 @@ def _snf_core(
         for t in range(size - 1):
             a, b = D[t][t], D[t + 1][t + 1]
             if b != 0 and abs(b) % abs(a) != 0:
-                for r in range(m):
-                    D[r][t] += D[r][t + 1]
-                if track:
-                    for r in range(n):
-                        V[r][t] += V[r][t + 1]
+                for row in D:
+                    row[t] += row[t + 1]
                 reduce_at(t)
                 clean = False
         if clean:
@@ -334,10 +307,6 @@ def _snf_core(
     for t in range(size):
         if D[t][t] < 0:
             D[t] = [-e for e in D[t]]
-            if track:
-                U[t] = [-e for e in U[t]]
-
-    return D, U, V
 
 
 def smith_normal_form(A: IntMatrix) -> SNFResult:
@@ -346,10 +315,18 @@ def smith_normal_form(A: IntMatrix) -> SNFResult:
     Returns SNFResult(U, D, V) with U @ A @ V == D exactly, |det U| == 1,
     |det V| == 1, and D diagonal, nonnegative, with each diagonal entry
     dividing the next.  The pivot rule (smallest nonzero absolute value,
-    row-then-column tie break) makes the computation deterministic.
+    row-then-column tie break) makes the computation deterministic.  U and
+    V are read off the reduction of (A | I_m) stacked over I_n.
     """
-    D, U, V = _snf_core(A.entries, track=True)
-    return SNFResult(U=IntMatrix.from_rows(U), D=IntMatrix.from_rows(D), V=IntMatrix.from_rows(V))
+    m, n = A.rows, A.cols
+    M = [list(row) + [int(i == j) for j in range(m)] for i, row in enumerate(A.entries)]
+    M += [[int(i == j) for j in range(n)] for i in range(n)]
+    _snf_core(M, m, n)
+    return SNFResult(
+        U=IntMatrix.from_rows(row[n:] for row in M[:m]),
+        D=IntMatrix.from_rows(row[:n] for row in M[:m]),
+        V=IntMatrix.from_rows(M[m:]),
+    )
 
 
 def invariant_factors(rows: IntMatrix | Sequence[Sequence[int]]) -> tuple[int, ...]:
@@ -359,7 +336,8 @@ def invariant_factors(rows: IntMatrix | Sequence[Sequence[int]]) -> tuple[int, .
     entries, including trailing zeros.
     """
     raw = rows.entries if isinstance(rows, IntMatrix) else rows
-    D, _, _ = _snf_core(raw, track=False)
+    D = [list(row) for row in raw]
+    _snf_core(D, len(D), len(D[0]))
     return tuple(D[i][i] for i in range(min(len(D), len(D[0]))))
 
 

@@ -343,6 +343,10 @@ def two_hop_path(a: ProjVector, b: ProjVector) -> PathCertificate:
         )
 
 
+# The transform of every one-hop certificate, shared: IntMatrix is frozen.
+_IDENTITY_3 = IntMatrix.identity(3)
+
+
 def connect_path(a: ProjVector, b: ProjVector) -> PathCertificate:
     """Certified path of at most two edges between distinct classes.
 
@@ -358,7 +362,7 @@ def connect_path(a: ProjVector, b: ProjVector) -> PathCertificate:
         return PathCertificate(
             waypoints=(a, b),
             witnesses=(_witness(a, b),),
-            transform=IntMatrix.identity(3),
+            transform=_IDENTITY_3,
         )
 
 

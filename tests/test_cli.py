@@ -1,6 +1,9 @@
 """CLI behavior: output schemas, determinism, and exit codes."""
 
+import contextlib
 import json
+import random
+import sys
 import time
 
 import pytest
@@ -160,6 +163,80 @@ def test_farey_neighbors(capsys):
     d = run_json(capsys, "farey", "neighbors", "1,0", "--height", "1")
     assert d["vertex"] == [1, 0]
     assert d["neighbors"] == [[0, 1], [1, -1], [1, 1]]
+
+
+def test_torus_simplex_dimension_20_is_fast(capsys):
+    """Ten vectors in dimension 20 whose maximal minors are all even: the
+    gcd comes from the invariant factors, not from C(20, 10) minors."""
+    e = [[int(i == j) for j in range(20)] for i in range(20)]
+    vs = [[x + y for x, y in zip(e[0], e[1])], [x - y for x, y in zip(e[0], e[1])]] + e[2:10]
+    start = time.perf_counter()
+    d = run_json(capsys, "torus", "simplex", "--", *(",".join(map(str, v)) for v in vs))
+    assert time.perf_counter() - start < 1.0
+    assert d["minors_gcd"] == 2
+    assert d["is_simplex"] is False
+
+
+# ---------------------------------------------------- exact at any size
+
+
+@contextlib.contextmanager
+def unlimited_int_digits():
+    """Lift Python's int/str digit limit (3.11+) to read huge JSON ints."""
+    saved = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if saved is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if saved is not None:
+            sys.set_int_max_str_digits(saved)
+
+
+def det3(m):
+    (a, b, c), (d, e, f), (g, h, i) = m
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
+def test_torus_path_at_2500_digits(capsys):
+    rng = random.Random(2500)
+    x = [rng.randrange(10**2499, 10**2500) for _ in range(4)]
+    a, b = [x[0], x[1], 1], [1, x[2], x[3]]
+    code, out, err = run(capsys, "torus", "path", ",".join(map(str, a)), ",".join(map(str, b)))
+    assert code == 0, err
+    with unlimited_int_digits():
+        d = json.loads(out)
+    assert d["waypoints"][0] == a and d["waypoints"][-1] == b
+    assert len(d["witnesses"]) == d["edges"]
+    for (u, v), w in zip(zip(d["waypoints"], d["waypoints"][1:]), d["witnesses"]):
+        assert [row[:2] for row in w] == [list(pair) for pair in zip(u, v)]
+        assert det3(w) == 1
+
+
+def test_5000_digit_coordinate_parses(capsys):
+    digits = "1" + "0" * 4998 + "7"
+    code, out, err = run(capsys, "torus", "simplex", f"{digits},3,0", "0,0,1")
+    assert code == 0, err
+    with unlimited_int_digits():
+        d = json.loads(out)
+        assert d["vertices"] == [[int(digits), 3, 0], [0, 0, 1]]
+    assert d["minors_gcd"] == 1
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int/str digit limit")
+def test_main_restores_the_digit_limit(capsys):
+    saved = sys.get_int_max_str_digits()
+    try:
+        for limit in (saved, 6000):
+            sys.set_int_max_str_digits(limit)
+            for argv in (["torus", "path", "2,3,5", "0,0,1"],
+                         ["torus", "path", "2,4,6", "0,0,1"],
+                         ["torus", "path", "--bogus"]):
+                main(argv)
+                capsys.readouterr()
+                assert sys.get_int_max_str_digits() == limit
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 # --------------------------------------------------------------- seifert

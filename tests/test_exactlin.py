@@ -5,8 +5,10 @@ by the independent oracles in this file (brute-force minimal Bezout
 search, permutation-expansion determinants, direct minor enumeration).
 """
 
+import json
 import math
 from itertools import combinations, permutations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -250,6 +252,20 @@ def test_minors_gcd_iff_snf_ones_exhaustive_3x2():
 def test_invariant_factors_matches_full_snf():
     rows = [[12, 6, 4], [3, 9, 6], [2, 16, 14]]
     assert invariant_factors(rows) == smith_normal_form(IntMatrix.from_rows(rows)).diagonal()
+
+
+def test_snf_certificates_match_golden():
+    """U, D and V exactly as pinned in golden/snf.json: 200 seeded matrices
+    up to 7x7 (zero rows and columns, 1 x n and m x 1 shapes, entries up to
+    about 1e12), captured from the implementation that predates the single
+    augmented-matrix reduction.  U and V are not unique, so only this pins
+    the certificates themselves."""
+    cases = json.loads((Path(__file__).parent / "golden" / "snf.json").read_text())
+    assert len(cases) == 200
+    for case in cases:
+        res = smith_normal_form(IntMatrix.from_rows(case["A"]))
+        got = (res.U.to_lists(), res.D.to_lists(), res.V.to_lists())
+        assert got == (case["U"], case["D"], case["V"]), case["A"]
 
 
 # ------------------------------------------------- unimodular completion
