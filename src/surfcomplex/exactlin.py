@@ -5,7 +5,10 @@ The module supplies the kernels the rest of the package is built on:
 extended gcd with a deterministic minimal Bezout pair, fraction-free
 determinants, Smith normal form with unimodular certificate matrices,
 gcds of k x k minors read from its invariant factors, and completion of
-a primitive vector to a determinant-1 matrix.
+a primitive vector to a determinant-1 matrix.  The one computation
+modulo primes, finding all pairs of bounded vectors with coprime 2x2
+minors at once, covers every prime up to a bound on the minors, so it is
+exact too.
 
 All values are immutable once constructed and safe to share between
 threads; every function is a pure function of its inputs.
@@ -15,6 +18,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
+from operator import mod, mul, or_, xor
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -200,6 +205,40 @@ def minors_gcd(A: IntMatrix, k: int) -> int:
     return math.prod(invariant_factors(A)[:k])
 
 
+def _coprime_minor_pairs(vectors: Sequence[tuple[int, ...]], height: int) -> tuple[int, ...]:
+    # Bitsets of the pairs with coprime 2x2 minors (minors_gcd 1 on the
+    # columns (u v)), all at once: bit j of entry i is set exactly when
+    # vectors i and j form such a pair.  The vectors are primitive, pairwise
+    # not proportional, with first nonzero entry positive and every entry of
+    # absolute value <= height.
+    # A prime p divides every 2x2 minor of (u v) exactly when u and v are
+    # the same point of P^{n-1}(F_p) (neither is 0 mod p, being primitive).
+    # The minors are at most 2*height^2 in size and not all 0, so only the
+    # primes up to that bound can, and checking all of them keeps the result
+    # exact.  For each such prime the vectors are bucketed by their point
+    # mod p, scaled by the inverse of the first entry that is nonzero mod p,
+    # and clash[i] collects the buckets of vector i, which hold i itself.
+    bits = [1 << i for i in range(len(vectors))]
+    clash = [0] * len(vectors)
+    cols = list(zip(*vectors))
+    # The first nonzero entry lies in [1, height]: a unit mod every p > height.
+    firsts = [next(filter(None, v)) for v in vectors]
+    for p in range(2, 2 * height * height + 1):
+        if any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
+            continue
+        leads = firsts if p > height else [next(e for e in v if e % p) % p for v in vectors]
+        # Every lead is a residue in [1, min(p - 1, height)].
+        inv = [0, *map(pow, range(1, min(p, height + 1)), repeat(-1), repeat(p))]
+        scale = list(map(inv.__getitem__, leads))
+        keys = list(zip(*[map(mod, map(mul, col, scale), repeat(p)) for col in cols]))
+        buckets: dict[tuple[int, ...], int] = {}
+        for k, b in zip(keys, bits):
+            buckets[k] = buckets.get(k, 0) | b
+        clash = list(map(or_, clash, map(buckets.__getitem__, keys)))
+    full = (1 << len(vectors)) - 1
+    return tuple(map(xor, repeat(full), clash))
+
+
 def _combine_rows(M: list[list[int]], t: int, i: int, x: int, y: int, p: int, q: int) -> None:
     # (row_t, row_i) <- (x*row_t + y*row_i, p*row_i - q*row_t); det of the
     # 2x2 block is x*p + y*q == 1.
@@ -337,6 +376,8 @@ def invariant_factors(rows: IntMatrix | Sequence[Sequence[int]]) -> tuple[int, .
     """
     raw = rows.entries if isinstance(rows, IntMatrix) else rows
     D = [list(row) for row in raw]
+    if not D or not D[0] or any(len(row) != len(D[0]) for row in D):
+        IntMatrix.from_rows(D)  # raises, in IntMatrix's words
     _snf_core(D, len(D), len(D[0]))
     return tuple(D[i][i] for i in range(min(len(D), len(D[0]))))
 

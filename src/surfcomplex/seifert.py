@@ -102,10 +102,10 @@ def normalize(inv: SeifertInvariants) -> SeifertInvariants:
 def euler_number(inv: SeifertInvariants) -> Fraction:
     """e = b + sum(beta_i / alpha_i), exact; invariant under `normalize`.
 
-    Horizontal surfaces exist exactly when e == 0."""
-    return Fraction(inv.b) + sum(
-        (Fraction(beta, alpha) for alpha, beta in inv.fibers), Fraction(0)
-    )
+    Horizontal surfaces exist exactly when e == 0.  Summed over the common
+    denominator L = lcm(alpha_i) and reduced once."""
+    lcm = math.lcm(*(alpha for alpha, _ in inv.fibers))
+    return Fraction(inv.b * lcm + sum(beta * (lcm // alpha) for alpha, beta in inv.fibers), lcm)
 
 
 def horizontal_degree(inv: SeifertInvariants) -> int:
@@ -195,11 +195,13 @@ def h1(inv: SeifertInvariants) -> HomologySummary:
     diag = invariant_factors(rows)
     nonzero = [d for d in diag if d != 0]
     corank = (k + 1) - len(nonzero)
-    norm = normalize(inv)
+    # normalize folds every alpha == 1 fiber into b: no fibers are left and
+    # b becomes b + sum(beta) exactly when all alpha are 1.
     return HomologySummary(
         free_rank=2 * g + corank,
         torsion=tuple(d for d in nonzero if d > 1),
-        eta_is_fiber_class=(norm.fiber_count == 0 and norm.b == 0),
+        eta_is_fiber_class=(all(alpha == 1 for alpha, _ in inv.fibers)
+                            and inv.b + sum(beta for _, beta in inv.fibers) == 0),
     )
 
 
@@ -267,13 +269,18 @@ def classify_surface_complex(inv: SeifertInvariants) -> StructureReport:
        d = lcm(alpha_i).
     """
     norm = normalize(inv)
+    return _classify(norm, euler_number(norm))
+
+
+def _classify(norm: SeifertInvariants, e: Fraction) -> StructureReport:
+    # The verdict table over normalized invariants and their Euler number.
     g, k = norm.genus, norm.fiber_count
     base = (g, k)
-    if euler_number(norm) != 0:
+    if e != 0:
         return StructureReport(
             Verdict.ISO_CURVE_COMPLEX, base, None, None, "nonzero-euler-number"
         )
-    d = horizontal_degree(norm)
+    d = math.lcm(*(alpha for alpha, _ in norm.fibers))
     if g == 0:
         if k in (4, 5) and len(set(norm.fibers)) == 1:
             return StructureReport(
@@ -302,7 +309,7 @@ def info_json_dict(inv: SeifertInvariants) -> dict:
     norm = normalize(inv)
     e = euler_number(norm)
     hom = h1(norm)
-    report = classify_surface_complex(norm)
+    report = _classify(norm, e)
     return {
         "genus": norm.genus,
         "b": norm.b,

@@ -7,7 +7,11 @@ of an essential flat torus, and two distinct classes are joined by an edge
 when representatives can be made to meet in a single essential curve.
 Computationally that happens exactly when the gcd of the 2x2 minors of the
 3x2 matrix of representatives is 1, equivalently when the pair extends to
-a basis of Z^3.
+a basis of Z^3.  In residue classes: a prime divides every minor exactly
+when the two vectors are the same point of P^{n-1}(F_p), so a pair is an
+edge when no prime identifies them.  `build_graph` buckets the vertices
+by their point mod p for each prime up to 2*height^2 (a bound on the
+minors) instead of testing pairs.
 
 Two simplex tests coexist:
 
@@ -29,11 +33,13 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, product
+from itertools import chain, compress, islice, product, repeat, starmap
 from math import gcd
-from typing import Sequence
+from operator import itemgetter, lt
+from typing import Iterable, Sequence
 
-from .exactlin import IntMatrix, complete_to_unimodular, content, minors_gcd, xgcd
+from .exactlin import (IntMatrix, _coprime_minor_pairs, complete_to_unimodular, content, minors_gcd,
+                       xgcd)
 
 __all__ = [
     "ProjVector",
@@ -133,14 +139,11 @@ def _require_distinct_3(a: ProjVector, b: ProjVector) -> None:
         raise ValueError("vertices must be distinct projective classes")
 
 
-def _minors_gcds(a: tuple[int, ...], bs: Sequence[tuple[int, ...]]) -> list[int]:
-    # The edge predicate: for each b in bs, the gcd of the 2x2 minors of
-    # (a b), 1 exactly on an edge; for n == 3, of the cross product.
-    if len(a) == 3:
-        a0, a1, a2 = a
-        return [gcd(a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0) for b0, b1, b2 in bs]
-    pairs = list(combinations(range(len(a)), 2))
-    return [gcd(*[a[i] * b[j] - a[j] * b[i] for i, j in pairs]) for b in bs]
+def _minors_gcds(a: Sequence[int], b: Sequence[int]) -> int:
+    # The pairwise edge predicate: the gcd of the 2x2 minors of (a b), that
+    # is of the cross product, 1 exactly on an edge.  build_graph gets the
+    # same edges, at every n, from exactlin's _coprime_minor_pairs.
+    return gcd(*cross_product(a, b))
 
 
 def s1_edge(a: ProjVector, b: ProjVector) -> bool:
@@ -161,7 +164,7 @@ def intersection_components(a: ProjVector, b: ProjVector) -> int:
     classes, and equal to 1 exactly when `s1_edge` holds.
     """
     _require_distinct_3(a, b)
-    return _minors_gcds(a.coords, (b.coords,))[0]
+    return _minors_gcds(a.coords, b.coords)
 
 
 def finegold_minors(vs: Sequence[ProjVector], n: int | None = None) -> int | list[int]:
@@ -356,7 +359,7 @@ def connect_path(a: ProjVector, b: ProjVector) -> PathCertificate:
     internal fault and raises RuntimeError.
     """
     _require_distinct_3(a, b)
-    if content(cross_product(a.coords, b.coords)) != 1:
+    if _minors_gcds(a.coords, b.coords) != 1:
         return two_hop_path(a, b)
     with _building():
         return PathCertificate(
@@ -392,16 +395,36 @@ GRAPH_KINDS = ("finegold-skeleton", "surface-complex-s1")
 MAX_GRAPH_CANDIDATES = 4096
 
 
-def _members(bits: int) -> list[int]:
-    # Indices of the set bits, ascending.
-    return [i for i, c in enumerate(bin(bits)[:1:-1]) if c == "1"]
+_BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _members(bits: int, idx: Sequence[int]) -> list[int]:
+    # The entries of idx at the set bits, ascending: one C-level read of
+    # the bit string, least significant bit first.
+    return list(compress(idx, bin(bits)[:1:-1].encode().translate(_BIT_FLAGS)))
+
+
+class _Sized:
+    # Items with a known count, so tuple() fills a single allocation.  A
+    # tuple grown from a bare iterator is resized, and each resize makes it
+    # young again for the garbage collector, which then rescans it on the
+    # collections that its own new items set off.
+    def __init__(self, items: Iterable, count: int) -> None:
+        self.items, self.count = items, count
+
+    def __iter__(self):
+        return iter(self.items)
+
+    def __len__(self) -> int:
+        return self.count
 
 
 @dataclass(frozen=True)
 class ComplexGraph:
-    """A height-truncated 1-skeleton: vertices in lexicographic order,
-    edges as index pairs (i, j) with i < j.  The vertex index and the
-    adjacency bitsets are derived on first use and kept."""
+    """A height-truncated 1-skeleton: distinct vertices (in lexicographic
+    order from `build_graph`), edges as strictly increasing index pairs
+    (i, j) with i < j.  The vertex index and the adjacency bitsets are
+    derived on first use and kept; `build_graph` seeds the bitsets."""
 
     kind: str
     height: int
@@ -413,12 +436,18 @@ class ComplexGraph:
             raise ValueError(f"unknown graph kind {self.kind!r}")
         if self.height < 1:
             raise ValueError("height must be >= 1")
-        for v in self.vertices:
+        vs, es = self.vertices, self.edges
+        for v in vs:
             if max(abs(e) for e in v.coords) > self.height:
                 raise ValueError(f"vertex ({v.label}) exceeds height {self.height}")
-        for i, j in self.edges:
-            if not 0 <= i < j < len(self.vertices):
-                raise ValueError(f"bad edge ({i}, {j})")
+        if len(set(vs)) != len(vs):
+            raise ValueError("repeated vertex")
+        # Once sorted, es[0][0] is the least i.
+        if es and not (set(map(len, es)) == {2} and all(map(lt, es, islice(es, 1, None)))
+                       and es[0][0] >= 0 and all(starmap(lt, es))
+                       and max(map(itemgetter(1), es)) < len(vs)):
+            raise ValueError("edges must be strictly increasing index pairs (i, j), "
+                             "0 <= i < j < len(vertices)")
 
     @property
     def dimension(self) -> int:
@@ -426,8 +455,7 @@ class ComplexGraph:
 
     @cached_property
     def _index(self) -> dict[ProjVector, int]:
-        # Reversed, so a repeated vertex keeps its first index.
-        return {v: i for i, v in reversed(list(enumerate(self.vertices)))}
+        return {v: i for i, v in enumerate(self.vertices)}
 
     @cached_property
     def adjacency(self) -> tuple[int, ...]:
@@ -446,7 +474,8 @@ class ComplexGraph:
 
     def neighbors(self, i: int) -> list[int]:
         """Ascending neighbor indices; empty for an index outside the graph."""
-        return _members(self.adjacency[i]) if 0 <= i < len(self.vertices) else []
+        n = len(self.vertices)
+        return _members(self.adjacency[i], range(n)) if 0 <= i < n else []
 
     def degree(self, v: ProjVector) -> int:
         return self.adjacency[self.index_of(v)].bit_count()
@@ -458,9 +487,12 @@ def build_graph(kind: str, height: int, n: int = 3) -> ComplexGraph:
     The two kinds produce identical edge sets for n == 3; the
     "finegold-skeleton" kind also accepts other dimensions (n == 2 gives a
     fragment of the Farey graph), while "surface-complex-s1" is defined
-    for n == 3 only.  The edge list is sorted and independent of
-    evaluation order.  More than MAX_GRAPH_CANDIDATES (4096) candidate
-    vectors (2*height+1)**n raise ValueError before any enumeration.
+    for n == 3 only.  Both kinds and every n take one path: adjacency
+    bitsets by residue classes (exactlin's `_coprime_minor_pairs`), edges
+    read off them, and the bitsets kept as the graph's `adjacency`.  The
+    edge list is sorted and independent of evaluation order.  More than
+    MAX_GRAPH_CANDIDATES (4096) candidate vectors (2*height+1)**n raise
+    ValueError before any enumeration.
     """
     if kind not in GRAPH_KINDS:
         raise ValueError(f"unknown graph kind {kind!r}")
@@ -472,16 +504,16 @@ def build_graph(kind: str, height: int, n: int = 3) -> ComplexGraph:
         raise ValueError(f"truncation too large: (2*{height}+1)^{n} candidate vectors, "
                          f"over the limit of {MAX_GRAPH_CANDIDATES}")
     vertices = tuple(enumerate_vertices(n, height))
-    coords = [v.coords for v in vertices]
-    # Index ints come from one list, so the edge tuples share them.
-    idx = list(range(len(coords)))
-    edges = tuple(
-        (i, j)
-        for i, a in zip(idx, coords)
-        for j, g in zip(idx[i + 1:], _minors_gcds(a, coords[i + 1:]))
-        if g == 1
-    )
-    return ComplexGraph(kind=kind, height=height, vertices=vertices, edges=edges)
+    adj = _coprime_minor_pairs([v.coords for v in vertices], height)
+    # Row i's bits above i, read off against one index list, so the edge
+    # tuples share its ints.
+    idx = list(range(len(vertices)))
+    edges = tuple(_Sized(chain.from_iterable(
+        zip(repeat(i), _members(row >> i + 1 << i + 1, idx)) for i, row in zip(idx, adj)),
+        sum(map(int.bit_count, adj)) // 2))
+    g = ComplexGraph(kind=kind, height=height, vertices=vertices, edges=edges)
+    object.__setattr__(g, "adjacency", adj)
+    return g
 
 
 def _bfs_layers(adj: tuple[int, ...], start: int):
@@ -490,7 +522,7 @@ def _bfs_layers(adj: tuple[int, ...], start: int):
     while layer:
         yield layer
         reach = 0
-        for k in _members(layer):
+        for k in _members(layer, range(len(adj))):
             reach |= adj[k]
         layer = reach & ~seen
         seen |= layer
@@ -517,6 +549,7 @@ def truncation_diameter(g: ComplexGraph) -> tuple[int | None, tuple[ProjVector, 
     is reported.
     """
     adj, vs = g.adjacency, g.vertices
+    idx = range(len(vs))
     best = 0
     pair: tuple[ProjVector, ProjVector] | None = None
     for i, near in enumerate(adj):
@@ -524,16 +557,16 @@ def truncation_diameter(g: ComplexGraph) -> tuple[int | None, tuple[ProjVector, 
         far = later & ~near
         # Distance 2 through a common neighbor; a full BFS from i only when
         # some later vertex has none.
-        if all(near & adj[j] for j in _members(far)):
+        if all(near & adj[j] for j in _members(far, idx)):
             layers = [near & later, far]
         else:
             layers = [layer & later for layer in _bfs_layers(adj, i)][1:]
             missed = later & ~sum(layers)
             if missed:
-                return None, (vs[i], vs[_members(missed)[0]])
+                return None, (vs[i], vs[_members(missed, idx)[0]])
         for dist in range(len(layers), best, -1):
             if layers[dist - 1]:
-                best, pair = dist, (vs[i], vs[_members(layers[dist - 1])[0]])
+                best, pair = dist, (vs[i], vs[_members(layers[dist - 1], idx)[0]])
                 break
     return best, pair
 

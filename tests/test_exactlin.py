@@ -254,6 +254,19 @@ def test_invariant_factors_matches_full_snf():
     assert invariant_factors(rows) == smith_normal_form(IntMatrix.from_rows(rows)).diagonal()
 
 
+def test_invariant_factors_rejects_ragged_rows():
+    with pytest.raises(ValueError, match="ragged rows"):
+        invariant_factors([[2], [4, 6]])
+    with pytest.raises(ValueError, match="ragged rows"):
+        invariant_factors([[2, 4], [6]])
+
+
+def test_invariant_factors_rejects_empty_matrices():
+    for rows in ([[]], [], [[], []]):
+        with pytest.raises(ValueError, match="matrix needs at least one row and one column"):
+            invariant_factors(rows)
+
+
 def test_snf_certificates_match_golden():
     """U, D and V exactly as pinned in golden/snf.json: 200 seeded matrices
     up to 7x7 (zero rows and columns, 1 x n and m x 1 shapes, entries up to

@@ -128,6 +128,15 @@ def test_euler_number_examples():
     assert euler_number(SFS(0, 0, ((3, 2), (5, 3)))) == Fraction(19, 15)
 
 
+def test_euler_number_matches_a_sum_of_fractions():
+    pairs = [(a, b) for a in (1, 2, 3, 4, 6, 10**6 + 3) for b in (-7, -1, 1, 5, 10**9)
+             if math.gcd(a, b) == 1]
+    for b in (-2, 0, 3):
+        for fibers in combinations_with_replacement(pairs, 3):
+            e = euler_number(SFS(1, b, fibers))
+            assert e == b + sum(Fraction(beta, alpha) for alpha, beta in fibers)
+
+
 # ----------------------------------------------------- horizontal degree
 
 

@@ -1,8 +1,10 @@
 """Tests for the torus complex and the surface-complex graph of T^3."""
 
+import hashlib
 import json
 import math
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -431,6 +433,56 @@ def test_build_graph_deterministic():
     assert build_graph("surface-complex-s1", 2) == build_graph("surface-complex-s1", 2)
 
 
+GRAPH_GOLDEN = json.loads((Path(__file__).parent / "golden" / "graphs.json").read_text())
+
+
+def test_graph_golden_covers_every_accepted_truncation():
+    """graphs.json lists every (kind, n, height) that build_graph accepts."""
+    accepted = {(kind, n, h) for n in range(2, 13) for h in range(1, 40)
+                for kind in ("finegold-skeleton", "surface-complex-s1")
+                if (kind == "finegold-skeleton" or n == 3)
+                and (2 * h + 1) ** n <= MAX_GRAPH_CANDIDATES}
+    assert {(c["kind"], c["n"], c["height"]) for c in GRAPH_GOLDEN} == accepted
+    assert len(GRAPH_GOLDEN) == len(accepted)
+
+
+@pytest.mark.parametrize("case", GRAPH_GOLDEN,
+                         ids=lambda c: f"{c['kind']}-n{c['n']}-h{c['height']}")
+def test_build_graph_matches_golden(case):
+    """The sha256 of (vertex coordinates, edges) as JSON, pinned from the
+    pairwise minor-gcd construction over the whole accepted domain."""
+    g = build_graph(case["kind"], case["height"], case["n"])
+    payload = json.dumps([[v.coords for v in g.vertices], g.edges], separators=(",", ":"))
+    assert (len(g.vertices), len(g.edges)) == (case["vertices"], case["edges"])
+    assert hashlib.sha256(payload.encode()).hexdigest() == case["sha256"]
+
+
+@pytest.mark.parametrize("kind, n, heights", [("finegold-skeleton", 2, range(1, 9)),
+                                              ("finegold-skeleton", 3, range(1, 5)),
+                                              ("surface-complex-s1", 3, range(1, 5))])
+def test_seeded_adjacency_matches_derived(kind, n, heights):
+    for h in heights:
+        g = build_graph(kind, h, n)
+        derived = ComplexGraph(kind, h, g.vertices, g.edges)
+        assert "adjacency" in vars(g) and "adjacency" not in vars(derived)
+        assert g.adjacency == derived.adjacency
+
+
+def test_graph_edges_match_the_pairwise_predicate():
+    """The residue-class build against the minor gcds, pair by pair: the
+    closed-form predicate at n = 3, the Smith-form `finegold_minors` at
+    every n."""
+    g = build_graph("surface-complex-s1", 3)
+    coords = [v.coords for v in g.vertices]
+    assert list(g.edges) == [(i, j) for i, j in combinations(range(len(coords)), 2)
+                             if toruscomplex._minors_gcds(coords[i], coords[j]) == 1]
+    for h, n in ((2, 3), (9, 2), (2, 4), (1, 5)):
+        g = build_graph("finegold-skeleton", h, n)
+        vs = g.vertices
+        assert list(g.edges) == [(i, j) for i, j in combinations(range(len(vs)), 2)
+                                 if finegold_minors([vs[i], vs[j]]) == 1]
+
+
 # ------------------------------------------------------------------- BFS
 
 
@@ -444,9 +496,9 @@ def test_graph_queries_match_a_scan_of_edges():
             assert g.index_of(v) == i
             assert g.adjacency[i] == sum(1 << j for j in scan)
         assert g.neighbors(-1) == g.neighbors(len(g.vertices)) == []
-    # A repeated vertex keeps its first index, as with tuple.index.
-    twice = ComplexGraph("surface-complex-s1", 1, (V(1, 0, 0), V(0, 1, 0), V(1, 0, 0)), ())
-    assert twice.index_of(V(1, 0, 0)) == 0
+    # A repeated vertex is rejected.
+    with pytest.raises(ValueError):
+        ComplexGraph("surface-complex-s1", 1, (V(1, 0, 0), V(0, 1, 0), V(1, 0, 0)), ())
 
 
 def test_bfs_distance_examples():
@@ -489,6 +541,17 @@ def test_complex_graph_validation():
         ComplexGraph("surface-complex-s1", 1, (V(1, 0, 0), V(0, 1, 0)), ((1, 0),))
     with pytest.raises(ValueError):
         ComplexGraph("bogus", 1, (V(1, 0, 0),), ())
+
+
+def test_complex_graph_rejects_repeated_or_unsorted_edges():
+    vs = (V(0, 0, 1), V(0, 1, 0), V(1, 0, 0))
+    assert ComplexGraph("surface-complex-s1", 1, vs, ((0, 1), (0, 2), (1, 2))).edges[-1] == (1, 2)
+    for edges in (((0, 1), (0, 1)), ((0, 2), (0, 1)), ((1, 2), (0, 1)), ((0, 1), (0, 1, 2)),
+                  ((0,),), ((-1, 0),), ((0, 1), (1, 3)), ((0, 1), (2, 2))):
+        with pytest.raises(ValueError, match="edges must be strictly increasing index pairs"):
+            ComplexGraph("surface-complex-s1", 1, vs, edges)
+    with pytest.raises(ValueError, match="repeated vertex"):
+        ComplexGraph("surface-complex-s1", 1, vs + (V(0, 1, 0),), ())
 
 
 # ----------------------------------------------------------------- farey
