@@ -134,18 +134,10 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     if a == 0:
         return (abs(b), 0, 1 if b > 0 else -1)
     g = math.gcd(a, b)
-    # One solution via the classic iteration, then slide along the solution
-    # line {(x + t*b/g, y - t*a/g)} to the minimal representative.
-    old_r, r = a, b
-    old_x, x = 1, 0
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_x, x = x, old_x - q * x
-    if old_r < 0:
-        old_x = -old_x
+    # The solutions x form the class of (a/g)^-1 mod |b|/g, computed in C;
+    # the minimal pair is one of its two representatives nearest zero.
     step = abs(b) // g
-    x_hi = old_x % step
+    x_hi = pow(a // g, -1, step)
     best: tuple[tuple[int, int, int], int, int] | None = None
     for cand in (x_hi, x_hi - step):
         y = (g - a * cand) // b

@@ -38,8 +38,7 @@ from math import gcd
 from operator import itemgetter, lt
 from typing import Iterable, Sequence
 
-from .exactlin import (IntMatrix, _coprime_minor_pairs, complete_to_unimodular, content, minors_gcd,
-                       xgcd)
+from .exactlin import IntMatrix, _coprime_minor_pairs, content, minors_gcd, xgcd
 
 __all__ = [
     "ProjVector",
@@ -195,22 +194,42 @@ def is_finegold_simplex(vs: Sequence[ProjVector], n: int | None = None) -> bool:
     return all(g == 1 for g in (gcds if isinstance(gcds, list) else [gcds]))
 
 
-def _bezout_coefficients(values: Sequence[int]) -> tuple[int, tuple[int, ...]]:
-    # Left fold of xgcd: coefficients c with sum(c_i * values_i) == gcd.
-    g = 0
-    coeffs: list[int] = []
-    for v in values:
-        g2, p, q = xgcd(g, v)
-        coeffs = [c * p for c in coeffs]
-        coeffs.append(q)
-        g = g2
-    return g, tuple(coeffs)
+def _dot(x: Sequence[int], y: Sequence[int]) -> int:
+    return x[0] * y[0] + x[1] * y[1] + x[2] * y[2]
 
 
 def _det3(x: Sequence[int], y: Sequence[int], z: Sequence[int]) -> int:
     # Determinant of the 3x3 matrix with rows (or columns) x, y, z.
-    c = cross_product(y, z)
-    return x[0] * c[0] + x[1] * c[1] + x[2] * c[2]
+    return _dot(x, cross_product(y, z))
+
+
+def _bezout_vector(c: Sequence[int]) -> tuple[int, int, int]:
+    # w with c . w == gcd(c), from two xgcd calls.
+    g, x, y = xgcd(c[0], c[1])
+    _, p, q = xgcd(g, c[2])
+    return (p * x, p * y, q)
+
+
+def _size_reduced(w: Sequence[int], u: Sequence[int], v: Sequence[int]) -> tuple[int, int, int]:
+    # w - s*u - t*v with (s, t) the coordinates of w's projection onto the
+    # plane of (u, v) rounded half up (Babai's nearest-plane step), so the
+    # result depends only on w modulo Z*u + Z*v.
+    uu, vv, uv = _dot(u, u), _dot(v, v), _dot(u, v)
+    wu, wv = _dot(w, u), _dot(w, v)
+    d = uu * vv - uv * uv
+    s = (2 * (wu * vv - wv * uv) + d) // (2 * d)
+    t = (2 * (wv * uu - wu * uv) + d) // (2 * d)
+    return (w[0] - s * u[0] - t * v[0], w[1] - s * u[1] - t * v[1], w[2] - s * u[2] - t * v[2])
+
+
+def _witness_column(u: Sequence[int], v: Sequence[int]) -> tuple[int, int, int]:
+    # The third column of the witness of the edge (u, v): see edge_witness.
+    return _size_reduced(_bezout_vector(cross_product(u, v)), u, v)
+
+
+def _middle_vertex(a: Sequence[int], b: Sequence[int]) -> tuple[int, int, int]:
+    # The middle vertex of two_hop_path, up to sign.
+    return _size_reduced(_bezout_vector(cross_product(b, a)), a, b)
 
 
 def _check_edge(u: ProjVector, v: ProjVector, w: IntMatrix) -> None:
@@ -235,9 +254,8 @@ def _building():
 
 
 def _witness(u: ProjVector, v: ProjVector) -> IntMatrix:
-    # (u | v | w) with w the Bezout vector of u x v, unchecked.
-    _, w = _bezout_coefficients(cross_product(u.coords, v.coords))
-    return IntMatrix.from_columns([u.coords, v.coords, w])
+    # (u | v | w) with w the size-reduced witness column, unchecked.
+    return IntMatrix(tuple(zip(u.coords, v.coords, _witness_column(u.coords, v.coords))))
 
 
 def edge_witness(a: ProjVector, b: ProjVector) -> IntMatrix:
@@ -245,6 +263,10 @@ def edge_witness(a: ProjVector, b: ProjVector) -> IntMatrix:
 
     The third column w solves (a x b) . w == 1, which exists exactly when
     the pair spans an edge; det(a | b | w) == (a x b) . w == 1 exactly.
+    The solutions are then exactly w0 + s*a + t*b, and w is the Bezout
+    vector w0 of a x b with its coordinates along a and b rounded away, so
+    w does not depend on w0 and its Euclidean norm is at most
+    (|a| + |b|)/2 + 1.
     """
     g = intersection_components(a, b)
     if g != 1:
@@ -262,9 +284,11 @@ class PathCertificate:
     `waypoints` lists the visited classes (two or three distinct ones);
     `witnesses` holds one determinant-1 matrix per edge whose first two
     columns are the canonical representatives of that edge's endpoints;
-    `transform` is the unimodular coordinate change used during
-    construction (identity when none was needed).  Construction verifies
-    all of this, and is the one place where certificates are verified.
+    `transform` is a determinant-1 change of coordinates: for two hops the
+    one of `two_hop_path`, which sends the end to (0,0,1) and the middle
+    vertex into z == 0, for one hop the identity.  Construction checks the
+    waypoints, every witness and the transform's determinant, and is the
+    one place where certificates are verified.
     """
 
     waypoints: tuple[ProjVector, ...]
@@ -298,52 +322,28 @@ class PathCertificate:
         }
 
 
-def _transverse_pair(a: int, b: int) -> tuple[int, int]:
-    # (x, y) with a*y - b*x == gcd(a, b) > 0, minimizing |x| and preferring
-    # x > 0 on ties; gcd(x, y) == 1 automatically since
-    # y*(a/g) - x*(b/g) == 1.
-    g, u, v = xgcd(a, b)
-    if g == 0:
-        raise ValueError("(0, 0) admits no transverse pair")
-    x0, y0 = -v, u
-    if a == 0:
-        return (x0, y0)
-    step = abs(a) // g
-    x_hi = x0 % step
-    best: tuple[tuple[int, int], int, int] | None = None
-    for x in (x_hi, x_hi - step):
-        y = (g + b * x) // a
-        key = (abs(x), 0 if x > 0 else 1)
-        if best is None or key < best[0]:
-            best = (key, x, y)
-    assert best is not None
-    return (best[1], best[2])
-
-
 def two_hop_path(a: ProjVector, b: ProjVector) -> PathCertificate:
     """Constructive two-edge path from a to b, never taking a shortcut.
 
-    With (b | c1 | c2) of determinant 1 (the completion of b, or the
-    standard basis when b is (0,0,1)), T with rows (c2 x b, b x c1, c1 x c2)
-    sends b to (0,0,1).  Writing T a = (p, q, r), the Euclidean algorithm
-    yields (x, y) with p*y - q*x == gcd(p, q); (x, y, 0) is adjacent to both
-    transformed endpoints, and T^-1 (x, y, 0) = x*c1 + y*c2 is the middle.
+    With n = (b x a)/gcd(b x a), every m with n . m == 1 is adjacent to a:
+    a is primitive in the kernel of n, so it extends to a basis (a, k) of
+    that kernel, and (a, k, m) is a basis of Z^3.  The same holds for b.
+    The middle vertex is the Bezout vector of b x a, which is such an m,
+    reduced modulo (a, b) as in `edge_witness` and canonicalized: its
+    Euclidean norm is at most (|a| + |b|)/2 + 1, and no witness entry
+    exceeds |a| + |b| + 1.  With w the third column of the witness of
+    (m, b), the transform T = (w | m | b)^-1, with rows
+    (m x b, b x w, w x m), sends b to (0,0,1) and m to (0,1,0), in the
+    plane z == 0.
     """
     _require_distinct_3(a, b)
     with _building():
-        if b.coords == (0, 0, 1):
-            c1, c2 = (1, 0, 0), (0, 1, 0)
-        else:
-            _, c1, c2 = zip(*complete_to_unimodular(b.coords).entries)
-        t = (cross_product(c2, b.coords), cross_product(b.coords, c1), cross_product(c1, c2))
-        p, q = (sum(e * f for e, f in zip(row, a.coords)) for row in t[:2])
-        x, y = _transverse_pair(p, q)
-        mid = canonicalize(tuple(x * e + y * f for e, f in zip(c1, c2)))
-        return PathCertificate(
-            waypoints=(a, mid, b),
-            witnesses=(_witness(a, mid), _witness(mid, b)),
-            transform=IntMatrix(t),
-        )
+        mid = canonicalize(_middle_vertex(a.coords, b.coords))
+        last = _witness(mid, b)
+        m, w = mid.coords, last.column(2)
+        t = (cross_product(m, b.coords), cross_product(b.coords, w), cross_product(w, m))
+        return PathCertificate(waypoints=(a, mid, b), witnesses=(_witness(a, mid), last),
+                               transform=IntMatrix(t))
 
 
 # The transform of every one-hop certificate, shared: IntMatrix is frozen.
@@ -362,11 +362,7 @@ def connect_path(a: ProjVector, b: ProjVector) -> PathCertificate:
     if _minors_gcds(a.coords, b.coords) != 1:
         return two_hop_path(a, b)
     with _building():
-        return PathCertificate(
-            waypoints=(a, b),
-            witnesses=(_witness(a, b),),
-            transform=_IDENTITY_3,
-        )
+        return PathCertificate(waypoints=(a, b), witnesses=(_witness(a, b),), transform=_IDENTITY_3)
 
 
 def enumerate_vertices(n: int, height: int) -> list[ProjVector]:

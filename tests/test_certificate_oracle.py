@@ -3,20 +3,18 @@
 Every certificate is read back from `to_json_dict()` alone and checked
 with sympy determinants and plain integer arithmetic; no kernel of
 `surfcomplex.exactlin` is used for the checks.  The closed-form transform
-is compared with sympy's inverse of the completion the library builds.
+is compared with sympy's inverse of the certificate's own last frame, and
+every entry is held to the size bound of the Babai-reduced construction.
 """
 
 import math
 import random
+from itertools import combinations, product
 
 import pytest
 import sympy
 
-from surfcomplex import complete_to_unimodular
 from surfcomplex.toruscomplex import canonicalize, connect_path, two_hop_path
-
-# The cyclic permutation e1 -> e3, e2 -> e1, e3 -> e2.
-P = sympy.Matrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
 
 
 def random_pairs(bound, count, seed):
@@ -73,15 +71,30 @@ def test_certificates_check_independently(bound, seed):
 
 
 @pytest.mark.parametrize("bound, seed", [(10**6, 3), (10**50, 4)])
-def test_transform_is_permuted_inverse_of_completion(bound, seed):
-    """transform == P * M^-1 with M = (b | c1 | c2) the completion of b, as
-    sympy inverts it; the identity when b is (0, 0, 1)."""
+def test_transform_is_inverse_of_last_frame(bound, seed):
+    """transform == M^-1 as sympy inverts it, with M = (w | m | b): w the
+    third column of the last witness, m the middle vertex."""
     e3 = canonicalize((0, 0, 1))
     pairs = random_pairs(bound, 40, seed) + [(a, e3) for a, _ in random_pairs(bound, 5, seed)]
     for a, b in pairs:
-        t = sympy.Matrix(two_hop_path(a, b).to_json_dict()["transform"])
-        if b == e3:
-            assert t == sympy.eye(3)
-            continue
-        m = sympy.Matrix(complete_to_unimodular(b.coords).to_lists())
-        assert t == P * m.inv()
+        d = two_hop_path(a, b).to_json_dict()
+        w = [row[2] for row in d["witnesses"][1]]
+        m = sympy.Matrix([w, d["waypoints"][1], list(b.coords)]).T
+        assert sympy.Matrix(d["transform"]) == m.inv()
+
+
+def height_4_pairs():
+    vs = [v for v in product(range(-4, 5), repeat=3) if any(v) and is_canonical(v)]
+    return [(canonicalize(a), canonicalize(b)) for a, b in combinations(vs, 2)]
+
+
+@pytest.mark.parametrize("bound", [4, 10**6, 10**50, 10**400], ids=["height4", "1e6", "1e50", "1e400"])
+def test_certificate_entries_stay_at_input_size(bound):
+    """Every waypoint and witness entry is at most |a| + |b| + 2 in
+    absolute value, |.| the integer square root of the squared norm."""
+    for a, b in height_4_pairs() if bound == 4 else random_pairs(bound, 200, 5):
+        limit = math.isqrt(sum(e * e for e in a.coords)) + math.isqrt(sum(e * e for e in b.coords)) + 2
+        d = connect_path(a, b).to_json_dict()
+        entries = [e for w in d["witnesses"] for row in w for e in row]
+        entries += [e for v in d["waypoints"] for e in v]
+        assert max(map(abs, entries)) <= limit, (a, b)

@@ -312,24 +312,17 @@ def test_oversized_farey_query_exits_2_quickly(capsys):
     assert err.startswith("error: truncation too large")
 
 
-_transverse_pair = toruscomplex._transverse_pair
-_bezout_coefficients = toruscomplex._bezout_coefficients
-
-
-def _doubled_transverse_pair(p, q):
-    x, y = _transverse_pair(p, q)
-    return 2 * x, 2 * y
-
-
-def _doubled_bezout_column(values):
-    g, w = _bezout_coefficients(values)
-    return g, tuple(2 * e for e in w)
+def _doubling(helper):
+    # The private helper, looked up when the test runs, with its output
+    # doubled.
+    original = getattr(toruscomplex, helper)
+    return lambda *args: tuple(2 * e for e in original(*args))
 
 
 @pytest.mark.parametrize("argv", [("1,2,0", "1,0,0"), ("2,4,1", "0,0,1")])
 def test_broken_middle_pair_is_an_internal_error(capsys, monkeypatch, argv):
     """Accepted inputs whose construction goes wrong exit 1, not 2."""
-    monkeypatch.setattr(toruscomplex, "_transverse_pair", _doubled_transverse_pair)
+    monkeypatch.setattr(toruscomplex, "_middle_vertex", _doubling("_middle_vertex"))
     code, out, err = run(capsys, "torus", "path", *argv)
     assert code == 1 and out == ""
     assert err.startswith("internal error:")
@@ -337,7 +330,7 @@ def test_broken_middle_pair_is_an_internal_error(capsys, monkeypatch, argv):
 
 @pytest.mark.parametrize("argv", [("1,2,0", "1,0,0"), ("2,3,5", "0,0,1")])
 def test_broken_bezout_column_is_an_internal_error(capsys, monkeypatch, argv):
-    monkeypatch.setattr(toruscomplex, "_bezout_coefficients", _doubled_bezout_column)
+    monkeypatch.setattr(toruscomplex, "_witness_column", _doubling("_witness_column"))
     code, out, err = run(capsys, "torus", "path", *argv)
     assert code == 1 and out == ""
     assert err.startswith("internal error:")

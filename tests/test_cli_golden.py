@@ -6,7 +6,10 @@ nonempty, its stderr); `golden/<name>.out` holds its stdout.  The graph,
 diameter, distance and Farey files were captured from the implementation
 that predates the bitset graph layer, the path and simplex files from the
 one that predates the closed-form certificate layer, so any drift in the
-CLI's output shows up here.
+CLI's output shows up here.  The path files whose witnesses, middle vertex
+or transform changed when certificates became size-reduced were captured
+again from that version, after `bench/verify.py` and the sympy oracle of
+`test_certificate_oracle.py` had accepted its certificates.
 """
 
 import json

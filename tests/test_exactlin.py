@@ -2,11 +2,13 @@
 
 Expected values are either trivial, verified by substitution, or computed
 by the independent oracles in this file (brute-force minimal Bezout
-search, permutation-expansion determinants, direct minor enumeration).
+search, a Euclid-loop minimal Bezout pair, permutation-expansion
+determinants, direct minor enumeration).
 """
 
 import json
 import math
+import random
 from itertools import combinations, permutations, product
 from pathlib import Path
 
@@ -52,6 +54,27 @@ def brute_minimal_bezout(a, b):
             if best is None or key < best[0]:
                 best = (key, x, y)
     return (g, best[1], best[2])
+
+
+def euclid_minimal_bezout(a, b):
+    """Minimal Bezout pair from the classic extended Euclid iteration, slid
+    along the solution line {(x + t*b/g, y - t*a/g)} to the pair with the
+    (|x|, |y|)-lexicographically smallest key, preferring x > 0."""
+    g = math.gcd(a, b)
+    if g == 0:
+        return (0, 0, 0)
+    if b == 0:
+        return (g, 1 if a > 0 else -1, 0)
+    old_r, r, old_x, x = a, b, 1, 0
+    while r != 0:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_x, x = x, old_x - q * x
+    if old_r < 0:
+        old_x = -old_x
+    step = abs(b) // g
+    candidates = [(c, (g - a * c) // b) for c in (old_x % step, old_x % step - step)]
+    return (g, *min(candidates, key=lambda p: (abs(p[0]), abs(p[1]), 0 if p[0] > 0 else 1)))
 
 
 def permutation_det(rows):
@@ -116,6 +139,17 @@ def test_xgcd_matches_brute_force_minimal_pair():
     for a in range(-40, 41):
         for b in range(-40, 41):
             assert xgcd(a, b) == brute_minimal_bezout(a, b), (a, b)
+
+
+def test_xgcd_matches_euclid_loop_up_to_400_digits():
+    """Random pairs of 1 to 400 digits, with random signs, zeros and
+    common factors, against the Euclid-loop reference."""
+    rng = random.Random(6)
+    for _ in range(3000):
+        a, b = (rng.choice((-1, 1)) * rng.randrange(10 ** rng.randint(1, 400)) for _ in range(2))
+        f = rng.choice((1, 1, 2, 6, rng.randrange(1, 10**30)))
+        for x, y in ((a, b), (a * f, b * f), (0, b), (a, 0), (a, a * f), (b * f, b)):
+            assert xgcd(x, y) == euclid_minimal_bezout(x, y), (x, y)
 
 
 @given(st.integers(-(10**12), 10**12), st.integers(-(10**12), 10**12))

@@ -184,10 +184,10 @@ def test_six_simplex_in_flag_complex():
 
 def test_two_hop_path_worked_example():
     """The constructive route from (2,3,5) to (0,0,1): intermediate
-    (1,2,0), first witness columns (2,3,5), (1,2,0), (0,0,1)."""
+    (1,1,2), first witness columns (2,3,5), (1,1,2), (0,0,-1)."""
     cert = two_hop_path(V(2, 3, 5), V(0, 0, 1))
-    assert [v.coords for v in cert.waypoints] == [(2, 3, 5), (1, 2, 0), (0, 0, 1)]
-    assert cert.witnesses[0].entries == ((2, 1, 0), (3, 2, 0), (5, 0, 1))
+    assert [v.coords for v in cert.waypoints] == [(2, 3, 5), (1, 1, 2), (0, 0, 1)]
+    assert cert.witnesses[0].entries == ((2, 1, 0), (3, 1, 0), (5, 2, -1))
     assert det(cert.witnesses[0]) == 1
     assert det(cert.witnesses[1]) == 1
 
@@ -286,7 +286,7 @@ def _with_column(w, j, col):
 def test_path_certificate_rejects_forgeries():
     """A hand-built certificate is checked by PathCertificate alone and
     raises ValueError on each kind of forgery."""
-    a, mid, b = V(2, 3, 5), V(1, 2, 0), V(0, 0, 1)
+    a, mid, b = V(2, 3, 5), V(1, 1, 2), V(0, 0, 1)
     cert = two_hop_path(a, b)
     assert cert.waypoints == (a, mid, b)
     w0, w1 = cert.witnesses
@@ -317,31 +317,24 @@ def test_path_certificate_rejects_forgeries():
     assert PathCertificate((mid, a), (back,), ident).num_edges == 1
 
 
-_transverse_pair = toruscomplex._transverse_pair
-_bezout_coefficients = toruscomplex._bezout_coefficients
-
-
-def _doubled_transverse_pair(p, q):
-    x, y = _transverse_pair(p, q)
-    return 2 * x, 2 * y
-
-
-def _negated_bezout_column(values):
-    g, w = _bezout_coefficients(values)
-    return g, tuple(-e for e in w)
+def _mapped(helper, f):
+    # The private helper, looked up when the test runs, with f applied to
+    # each entry of its output.
+    original = getattr(toruscomplex, helper)
+    return lambda *args: tuple(f(e) for e in original(*args))
 
 
 def test_construction_faults_raise_runtime_error(monkeypatch):
     """Once the inputs are accepted, a fault in building or verifying the
     certificate is an internal error, never invalid input."""
-    monkeypatch.setattr(toruscomplex, "_transverse_pair", _doubled_transverse_pair)
+    monkeypatch.setattr(toruscomplex, "_middle_vertex", _mapped("_middle_vertex", lambda e: 2 * e))
     for a, b in ((V(1, 2, 0), V(1, 0, 0)), (V(2, 4, 1), V(0, 0, 1))):
         with pytest.raises(RuntimeError, match="not primitive"):
             connect_path(a, b)
         with pytest.raises(RuntimeError):
             two_hop_path(a, b)
     monkeypatch.undo()
-    monkeypatch.setattr(toruscomplex, "_bezout_coefficients", _negated_bezout_column)
+    monkeypatch.setattr(toruscomplex, "_witness_column", _mapped("_witness_column", lambda e: -e))
     with pytest.raises(RuntimeError, match="determinant"):
         connect_path(V(1, 0, 0), V(0, 1, 0))
     with pytest.raises(RuntimeError, match="determinant"):
