@@ -116,7 +116,7 @@ def horizontal_degree(inv: SeifertInvariants) -> int:
     e = euler_number(inv)
     if e != 0:
         raise ValueError(f"no horizontal surface: Euler number is {e}, not 0")
-    return math.lcm(*(alpha for alpha, _ in inv.fibers)) if inv.fibers else 1
+    return math.lcm(*(alpha for alpha, _ in inv.fibers))
 
 
 @dataclass(frozen=True)

@@ -33,10 +33,10 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress, islice, product, repeat, starmap
+from itertools import compress, islice, product, repeat, starmap
 from math import gcd
 from operator import itemgetter, lt
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .exactlin import IntMatrix, _coprime_minor_pairs, content, minors_gcd, xgcd
 
@@ -138,13 +138,6 @@ def _require_distinct_3(a: ProjVector, b: ProjVector) -> None:
         raise ValueError("vertices must be distinct projective classes")
 
 
-def _minors_gcds(a: Sequence[int], b: Sequence[int]) -> int:
-    # The pairwise edge predicate: the gcd of the 2x2 minors of (a b), that
-    # is of the cross product, 1 exactly on an edge.  build_graph gets the
-    # same edges, at every n, from exactlin's _coprime_minor_pairs.
-    return gcd(*cross_product(a, b))
-
-
 def s1_edge(a: ProjVector, b: ProjVector) -> bool:
     """Edge test for the surface-complex graph of the 3-torus.
 
@@ -159,11 +152,14 @@ def s1_edge(a: ProjVector, b: ProjVector) -> bool:
 def intersection_components(a: ProjVector, b: ProjVector) -> int:
     """Minimal number of intersection components of the two flat tori.
 
-    Computed as the content of the cross product; always >= 1 for distinct
-    classes, and equal to 1 exactly when `s1_edge` holds.
+    Computed as the content of the cross product, the gcd of the 2x2
+    minors of (a b); always >= 1 for distinct classes, and equal to 1
+    exactly when `s1_edge` holds.  The one pairwise edge predicate:
+    `build_graph` gets the same edges, at every n, from exactlin's
+    `_coprime_minor_pairs`.
     """
     _require_distinct_3(a, b)
-    return _minors_gcds(a.coords, b.coords)
+    return gcd(*cross_product(a.coords, b.coords))
 
 
 def finegold_minors(vs: Sequence[ProjVector], n: int | None = None) -> int | list[int]:
@@ -203,33 +199,21 @@ def _det3(x: Sequence[int], y: Sequence[int], z: Sequence[int]) -> int:
     return _dot(x, cross_product(y, z))
 
 
-def _bezout_vector(c: Sequence[int]) -> tuple[int, int, int]:
-    # w with c . w == gcd(c), from two xgcd calls.
+def _witness_column(c: Sequence[int], u: Sequence[int], v: Sequence[int]) -> tuple[int, int, int]:
+    # The Bezout vector w of c (c . w == gcd(c), from two xgcd calls) less
+    # s*u + t*v, (s, t) the coordinates of w's projection onto the plane of
+    # (u, v) rounded half up (Babai's nearest-plane step), so the result
+    # depends only on w modulo Z*u + Z*v and is symmetric in u and v.  With
+    # c = u x v it is the third column of the witness of the edge (u, v).
     g, x, y = xgcd(c[0], c[1])
     _, p, q = xgcd(g, c[2])
-    return (p * x, p * y, q)
-
-
-def _size_reduced(w: Sequence[int], u: Sequence[int], v: Sequence[int]) -> tuple[int, int, int]:
-    # w - s*u - t*v with (s, t) the coordinates of w's projection onto the
-    # plane of (u, v) rounded half up (Babai's nearest-plane step), so the
-    # result depends only on w modulo Z*u + Z*v.
+    w = (p * x, p * y, q)
     uu, vv, uv = _dot(u, u), _dot(v, v), _dot(u, v)
     wu, wv = _dot(w, u), _dot(w, v)
     d = uu * vv - uv * uv
     s = (2 * (wu * vv - wv * uv) + d) // (2 * d)
     t = (2 * (wv * uu - wu * uv) + d) // (2 * d)
     return (w[0] - s * u[0] - t * v[0], w[1] - s * u[1] - t * v[1], w[2] - s * u[2] - t * v[2])
-
-
-def _witness_column(u: Sequence[int], v: Sequence[int]) -> tuple[int, int, int]:
-    # The third column of the witness of the edge (u, v): see edge_witness.
-    return _size_reduced(_bezout_vector(cross_product(u, v)), u, v)
-
-
-def _middle_vertex(a: Sequence[int], b: Sequence[int]) -> tuple[int, int, int]:
-    # The middle vertex of two_hop_path, up to sign.
-    return _size_reduced(_bezout_vector(cross_product(b, a)), a, b)
 
 
 def _check_edge(u: ProjVector, v: ProjVector, w: IntMatrix) -> None:
@@ -253,11 +237,6 @@ def _building():
         raise RuntimeError(f"certificate construction failed: {exc}") from exc
 
 
-def _witness(u: ProjVector, v: ProjVector) -> IntMatrix:
-    # (u | v | w) with w the size-reduced witness column, unchecked.
-    return IntMatrix(tuple(zip(u.coords, v.coords, _witness_column(u.coords, v.coords))))
-
-
 def edge_witness(a: ProjVector, b: ProjVector) -> IntMatrix:
     """Determinant-1 matrix whose first two columns represent the edge (a, b).
 
@@ -271,7 +250,8 @@ def edge_witness(a: ProjVector, b: ProjVector) -> IntMatrix:
     g = intersection_components(a, b)
     if g != 1:
         raise ValueError(f"not an edge: pair meets in {g} components")
-    m = _witness(a, b)
+    x, y = a.coords, b.coords
+    m = IntMatrix(tuple(zip(x, y, _witness_column(cross_product(x, y), x, y))))
     with _building():
         _check_edge(a, b, m)
     return m
@@ -337,13 +317,15 @@ def two_hop_path(a: ProjVector, b: ProjVector) -> PathCertificate:
     plane z == 0.
     """
     _require_distinct_3(a, b)
+    x, y = a.coords, b.coords
     with _building():
-        mid = canonicalize(_middle_vertex(a.coords, b.coords))
-        last = _witness(mid, b)
-        m, w = mid.coords, last.column(2)
-        t = (cross_product(m, b.coords), cross_product(b.coords, w), cross_product(w, m))
-        return PathCertificate(waypoints=(a, mid, b), witnesses=(_witness(a, mid), last),
-                               transform=IntMatrix(t))
+        mid = canonicalize(_witness_column(cross_product(y, x), x, y))
+        m = mid.coords
+        c = cross_product(m, y)
+        v, w = _witness_column(cross_product(x, m), x, m), _witness_column(c, m, y)
+        witnesses = (IntMatrix(tuple(zip(x, m, v))), IntMatrix(tuple(zip(m, y, w))))
+        t = IntMatrix((c, cross_product(y, w), cross_product(w, m)))
+        return PathCertificate(waypoints=(a, mid, b), witnesses=witnesses, transform=t)
 
 
 # The transform of every one-hop certificate, shared: IntMatrix is frozen.
@@ -359,10 +341,13 @@ def connect_path(a: ProjVector, b: ProjVector) -> PathCertificate:
     internal fault and raises RuntimeError.
     """
     _require_distinct_3(a, b)
-    if _minors_gcds(a.coords, b.coords) != 1:
+    x, y = a.coords, b.coords
+    c = cross_product(x, y)
+    if gcd(*c) != 1:
         return two_hop_path(a, b)
     with _building():
-        return PathCertificate(waypoints=(a, b), witnesses=(_witness(a, b),), transform=_IDENTITY_3)
+        witness = IntMatrix(tuple(zip(x, y, _witness_column(c, x, y))))
+        return PathCertificate(waypoints=(a, b), witnesses=(witness,), transform=_IDENTITY_3)
 
 
 def enumerate_vertices(n: int, height: int) -> list[ProjVector]:
@@ -374,6 +359,7 @@ def enumerate_vertices(n: int, height: int) -> list[ProjVector]:
         raise ValueError("height must be >= 1")
     out = []
     rng = range(-height, height + 1)
+    # product over an ascending range is already lexicographic.
     for tup in product(rng, repeat=n):
         first = next((e for e in tup if e != 0), 0)
         if first <= 0:
@@ -381,7 +367,6 @@ def enumerate_vertices(n: int, height: int) -> list[ProjVector]:
         if content(tup) != 1:
             continue
         out.append(ProjVector(tup))
-    out.sort()
     return out
 
 
@@ -398,21 +383,6 @@ def _members(bits: int, idx: Sequence[int]) -> list[int]:
     # The entries of idx at the set bits, ascending: one C-level read of
     # the bit string, least significant bit first.
     return list(compress(idx, bin(bits)[:1:-1].encode().translate(_BIT_FLAGS)))
-
-
-class _Sized:
-    # Items with a known count, so tuple() fills a single allocation.  A
-    # tuple grown from a bare iterator is resized, and each resize makes it
-    # young again for the garbage collector, which then rescans it on the
-    # collections that its own new items set off.
-    def __init__(self, items: Iterable, count: int) -> None:
-        self.items, self.count = items, count
-
-    def __iter__(self):
-        return iter(self.items)
-
-    def __len__(self) -> int:
-        return self.count
 
 
 @dataclass(frozen=True)
@@ -502,11 +472,11 @@ def build_graph(kind: str, height: int, n: int = 3) -> ComplexGraph:
     vertices = tuple(enumerate_vertices(n, height))
     adj = _coprime_minor_pairs([v.coords for v in vertices], height)
     # Row i's bits above i, read off against one index list, so the edge
-    # tuples share its ints.
+    # tuples share its ints.  A list first: a tuple grown from an iterator
+    # is resized, and the garbage collector rescans it.
     idx = list(range(len(vertices)))
-    edges = tuple(_Sized(chain.from_iterable(
-        zip(repeat(i), _members(row >> i + 1 << i + 1, idx)) for i, row in zip(idx, adj)),
-        sum(map(int.bit_count, adj)) // 2))
+    edges = tuple([e for i, row in zip(idx, adj)
+                   for e in zip(repeat(i), _members(row >> i + 1 << i + 1, idx))])
     g = ComplexGraph(kind=kind, height=height, vertices=vertices, edges=edges)
     object.__setattr__(g, "adjacency", adj)
     return g

@@ -312,17 +312,19 @@ def test_oversized_farey_query_exits_2_quickly(capsys):
     assert err.startswith("error: truncation too large")
 
 
-def _doubling(helper):
-    # The private helper, looked up when the test runs, with its output
-    # doubled.
-    original = getattr(toruscomplex, helper)
-    return lambda *args: tuple(2 * e for e in original(*args))
+def _broken(name, f):
+    # The module's function, looked up when the test runs, with f applied
+    # to its output.
+    original = getattr(toruscomplex, name)
+    return lambda *args: f(original(*args))
 
 
 @pytest.mark.parametrize("argv", [("1,2,0", "1,0,0"), ("2,4,1", "0,0,1")])
 def test_broken_middle_pair_is_an_internal_error(capsys, monkeypatch, argv):
     """Accepted inputs whose construction goes wrong exit 1, not 2."""
-    monkeypatch.setattr(toruscomplex, "_middle_vertex", _doubling("_middle_vertex"))
+    # Within a path, toruscomplex canonicalizes only the middle vertex.
+    doubled = _broken("canonicalize", lambda v: toruscomplex.ProjVector(tuple(2 * e for e in v.coords)))
+    monkeypatch.setattr(toruscomplex, "canonicalize", doubled)
     code, out, err = run(capsys, "torus", "path", *argv)
     assert code == 1 and out == ""
     assert err.startswith("internal error:")
@@ -330,7 +332,10 @@ def test_broken_middle_pair_is_an_internal_error(capsys, monkeypatch, argv):
 
 @pytest.mark.parametrize("argv", [("1,2,0", "1,0,0"), ("2,3,5", "0,0,1")])
 def test_broken_bezout_column_is_an_internal_error(capsys, monkeypatch, argv):
-    monkeypatch.setattr(toruscomplex, "_witness_column", _doubling("_witness_column"))
+    # Negated, so that the middle vertex, canonicalized from the same
+    # helper, stays intact and the witness check itself fails.
+    negated = _broken("_witness_column", lambda w: tuple(-e for e in w))
+    monkeypatch.setattr(toruscomplex, "_witness_column", negated)
     code, out, err = run(capsys, "torus", "path", *argv)
     assert code == 1 and out == ""
     assert err.startswith("internal error:")

@@ -3,7 +3,8 @@
 import hashlib
 import json
 import math
-from itertools import combinations, product
+import random
+from itertools import combinations, count, islice, product
 from pathlib import Path
 
 import pytest
@@ -327,7 +328,10 @@ def _mapped(helper, f):
 def test_construction_faults_raise_runtime_error(monkeypatch):
     """Once the inputs are accepted, a fault in building or verifying the
     certificate is an internal error, never invalid input."""
-    monkeypatch.setattr(toruscomplex, "_middle_vertex", _mapped("_middle_vertex", lambda e: 2 * e))
+    # Within a path, toruscomplex canonicalizes only the middle vertex.
+    canonical = toruscomplex.canonicalize
+    doubled = lambda v: ProjVector(tuple(2 * e for e in canonical(v).coords))
+    monkeypatch.setattr(toruscomplex, "canonicalize", doubled)
     for a, b in ((V(1, 2, 0), V(1, 0, 0)), (V(2, 4, 1), V(0, 0, 1))):
         with pytest.raises(RuntimeError, match="not primitive"):
             connect_path(a, b)
@@ -335,13 +339,40 @@ def test_construction_faults_raise_runtime_error(monkeypatch):
             two_hop_path(a, b)
     monkeypatch.undo()
     monkeypatch.setattr(toruscomplex, "_witness_column", _mapped("_witness_column", lambda e: -e))
-    with pytest.raises(RuntimeError, match="determinant"):
-        connect_path(V(1, 0, 0), V(0, 1, 0))
+    # The negated helper leaves the canonical middle vertex intact.
+    for a, b in ((V(1, 0, 0), V(0, 1, 0)), (V(1, 2, 0), V(1, 0, 0))):
+        with pytest.raises(RuntimeError, match="determinant"):
+            connect_path(a, b)
     with pytest.raises(RuntimeError, match="determinant"):
         edge_witness(V(1, 0, 0), V(0, 1, 0))
     # Invalid input stays a ValueError.
     with pytest.raises(ValueError):
         connect_path(V(1, 0, 0), V(1, 0, 0))
+
+
+CERT_GOLDEN = json.loads((Path(__file__).parent / "golden" / "certificates.json").read_text())
+
+
+def certificate_pairs(case):
+    """Every pair of height-3 classes, or `pairs` seeded draws with entries
+    up to 10**k for the sample "1ek"."""
+    if case["sample"] == "height3":
+        return list(combinations(enumerate_vertices(3, 3), 2))
+    bound, rng = 10 ** int(case["sample"][2:]), random.Random(case["seed"])
+    draws = ([rng.randint(-bound, bound) for _ in range(3)] for _ in count())
+    classes = (canonicalize(v) for v in draws if math.gcd(*v) == 1)
+    return list(islice(((a, b) for a, b in zip(classes, classes) if a != b), case["pairs"]))
+
+
+@pytest.mark.parametrize("case", CERT_GOLDEN, ids=lambda c: f"{c['function']}-{c['sample']}")
+def test_certificates_match_golden(case):
+    """The sha256 of the certificates' `to_json_dict()` as compact JSON,
+    in pair order: the bytes of every witness, middle vertex and transform."""
+    build = {"connect_path": connect_path, "two_hop_path": two_hop_path}[case["function"]]
+    pairs = certificate_pairs(case)
+    payload = json.dumps([build(a, b).to_json_dict() for a, b in pairs], separators=(",", ":"))
+    assert len(pairs) == case["pairs"]
+    assert hashlib.sha256(payload.encode()).hexdigest() == case["sha256"]
 
 
 # ----------------------------------------------------------- enumeration
@@ -466,9 +497,9 @@ def test_graph_edges_match_the_pairwise_predicate():
     closed-form predicate at n = 3, the Smith-form `finegold_minors` at
     every n."""
     g = build_graph("surface-complex-s1", 3)
-    coords = [v.coords for v in g.vertices]
-    assert list(g.edges) == [(i, j) for i, j in combinations(range(len(coords)), 2)
-                             if toruscomplex._minors_gcds(coords[i], coords[j]) == 1]
+    vs = g.vertices
+    assert list(g.edges) == [(i, j) for i, j in combinations(range(len(vs)), 2)
+                             if intersection_components(vs[i], vs[j]) == 1]
     for h, n in ((2, 3), (9, 2), (2, 4), (1, 5)):
         g = build_graph("finegold-skeleton", h, n)
         vs = g.vertices
