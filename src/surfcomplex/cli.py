@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Callable
 
 from . import seifert, toruscomplex
 from .toruscomplex import canonicalize
@@ -56,28 +57,33 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("a", help="start vertex, e.g. 2,3,5")
     p.add_argument("b", help="end vertex, e.g. 0,0,1")
     p.add_argument("--format", choices=("json", "text"), default="json")
+    p.set_defaults(run=_run_torus_path)
 
     p = tsub.add_parser("distance", help="BFS distance in a height truncation")
     p.add_argument("a")
     p.add_argument("b")
     p.add_argument("--height", type=int, required=True)
     p.add_argument("--format", choices=("json", "text"), default="json")
+    p.set_defaults(run=_run_torus_distance)
 
     p = tsub.add_parser("simplex", help="simplex test with witness minors")
     p.add_argument("vertices", nargs="+")
     p.add_argument("--complex", choices=("finegold", "surface"), default="finegold")
     p.add_argument("--dim", type=int, default=None)
     p.add_argument("--format", choices=("json", "text"), default="json")
+    p.set_defaults(run=_run_torus_simplex)
 
     p = tsub.add_parser("graph", help="truncated 1-skeleton as DOT or JSON")
     p.add_argument("--height", type=int, required=True)
     p.add_argument("--kind", choices=("finegold", "surface"), default="surface")
     p.add_argument("--dim", type=int, default=3)
     p.add_argument("--format", choices=("json", "dot"), default="json")
+    p.set_defaults(run=_run_torus_graph)
 
     p = tsub.add_parser("diameter", help="max BFS distance in a truncation")
     p.add_argument("--height", type=int, required=True)
     p.add_argument("--format", choices=("json", "text"), default="json")
+    p.set_defaults(run=_run_torus_diameter)
 
     farey = top.add_parser("farey", help="Farey graph operations")
     fsub = farey.add_subparsers(dest="subcommand", required=True)
@@ -85,6 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("vertex", help="slope as P,Q")
     p.add_argument("--height", type=int, required=True)
     p.add_argument("--format", choices=("json", "text"), default="json")
+    p.set_defaults(run=_run_farey_neighbors)
 
     sf = top.add_parser("seifert", help="Seifert fibered space reports")
     ssub = sf.add_subparsers(dest="subcommand", required=True)
@@ -93,6 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--fiber", action="append", default=[], metavar="A:B")
     p.add_argument("--format", choices=("json", "text"), default="json")
+    p.set_defaults(run=_run_seifert_info)
 
     return parser
 
@@ -103,38 +111,32 @@ def _height(ns: argparse.Namespace) -> int:
     return ns.height
 
 
-def _emit_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2)
+# A runner computes its answer and returns two zero-argument renderings:
+# the JSON payload and the other format (text, or DOT for `torus graph`).
+# `_run` builds only the one that --format selects.
+_Renderings = tuple[Callable[[], object], Callable[[], str]]
 
 
-def _run_torus_path(ns: argparse.Namespace) -> str:
+def _run_torus_path(ns: argparse.Namespace) -> _Renderings:
     a, b = map(canonicalize, (parse_vector(ns.a), parse_vector(ns.b)))
     cert = toruscomplex.connect_path(a, b)
-    if ns.format == "text":
-        return " -> ".join(v.label for v in cert.waypoints)
-    return _emit_json(cert.to_json_dict())
+    return cert.to_json_dict, lambda: " -> ".join(v.label for v in cert.waypoints)
 
 
-def _run_torus_distance(ns: argparse.Namespace) -> str:
+def _run_torus_distance(ns: argparse.Namespace) -> _Renderings:
     vectors = (parse_vector(ns.a), parse_vector(ns.b))
     height = _height(ns)
     a, b = map(canonicalize, vectors)
     graph = toruscomplex.build_graph("surface-complex-s1", height)
     dist = toruscomplex.bfs_distance(graph, a, b)
     value = "unreachable-in-truncation" if dist is None else dist
-    if ns.format == "text":
-        return str(value)
-    return _emit_json(
-        {
-            "from": list(a.coords),
-            "to": list(b.coords),
-            "height": height,
-            "distance": value,
-        }
+    return (
+        lambda: {"from": list(a.coords), "to": list(b.coords), "height": height, "distance": value},
+        lambda: str(value),
     )
 
 
-def _run_torus_simplex(ns: argparse.Namespace) -> str:
+def _run_torus_simplex(ns: argparse.Namespace) -> _Renderings:
     vs = [canonicalize(v) for v in [parse_vector(text) for text in ns.vertices]]
     n = ns.dim if ns.dim is not None else len(vs[0])
     payload: dict = {
@@ -158,70 +160,52 @@ def _run_torus_simplex(ns: argparse.Namespace) -> str:
         gcds = toruscomplex.finegold_minors(vs, n)
         payload["is_simplex"] = toruscomplex.is_finegold_simplex(vs, n)
         payload["facet_minors_gcds" if isinstance(gcds, list) else "minors_gcd"] = gcds
-    if ns.format == "text":
-        return "true" if payload["is_simplex"] else "false"
-    return _emit_json(payload)
+    return lambda: payload, lambda: "true" if payload["is_simplex"] else "false"
 
 
 _KIND_TAGS = {"finegold": "finegold-skeleton", "surface": "surface-complex-s1"}
 
 
-def _run_torus_graph(ns: argparse.Namespace) -> str:
+def _run_torus_graph(ns: argparse.Namespace) -> _Renderings:
     graph = toruscomplex.build_graph(_KIND_TAGS[ns.kind], _height(ns), n=ns.dim)
-    if ns.format == "dot":
-        return toruscomplex.graph_to_dot(graph).rstrip("\n")
-    return _emit_json(toruscomplex.graph_to_json_dict(graph))
+    return (
+        lambda: toruscomplex.graph_to_json_dict(graph),
+        lambda: toruscomplex.graph_to_dot(graph).rstrip("\n"),
+    )
 
 
-def _run_torus_diameter(ns: argparse.Namespace) -> str:
+def _run_torus_diameter(ns: argparse.Namespace) -> _Renderings:
     graph = toruscomplex.build_graph("surface-complex-s1", _height(ns))
     diam, pair = toruscomplex.truncation_diameter(graph)
     value = "unreachable-in-truncation" if diam is None else diam
     pair_out = None if pair is None else [list(pair[0].coords), list(pair[1].coords)]
-    if ns.format == "text":
-        return f"{value} {pair_out}"
-    return _emit_json({"height": ns.height, "diameter": value, "pair": pair_out})
+    return (
+        lambda: {"height": ns.height, "diameter": value, "pair": pair_out},
+        lambda: f"{value} {pair_out}",
+    )
 
 
-def _run_farey_neighbors(ns: argparse.Namespace) -> str:
+def _run_farey_neighbors(ns: argparse.Namespace) -> _Renderings:
     vector = parse_vector(ns.vertex)
     height = _height(ns)
     v = canonicalize(vector)
     neighbors = toruscomplex.farey_neighbors(v, height)
-    if ns.format == "text":
-        return "\n".join(u.label for u in neighbors)
-    return _emit_json(
-        {
-            "vertex": list(v.coords),
-            "height": height,
-            "neighbors": [list(u.coords) for u in neighbors],
-        }
+    return (
+        lambda: {"vertex": list(v.coords), "height": height,
+                 "neighbors": [list(u.coords) for u in neighbors]},
+        lambda: "\n".join(u.label for u in neighbors),
     )
 
 
-def _run_seifert_info(ns: argparse.Namespace) -> str:
+def _run_seifert_info(ns: argparse.Namespace) -> _Renderings:
     inv = seifert.SeifertInvariants(ns.genus, ns.b, tuple(parse_fiber(f) for f in ns.fiber))
     payload = seifert.info_json_dict(inv)
-    if ns.format == "text":
-        fibers = " ".join(f"{a}:{b}" for a, b in payload["fibers"])
-        return (
-            f"verdict={payload['verdict']} e={payload['euler_number']} "
-            f"d={payload['d']} h1_free={payload['h1']['free_rank']} "
-            f"h1_torsion={payload['h1']['torsion']} h2={payload['h2_rank']} "
-            f"fibers=[{fibers}]"
-        )
-    return _emit_json(payload)
-
-
-_DISPATCH = {
-    ("torus", "path"): _run_torus_path,
-    ("torus", "distance"): _run_torus_distance,
-    ("torus", "simplex"): _run_torus_simplex,
-    ("torus", "graph"): _run_torus_graph,
-    ("torus", "diameter"): _run_torus_diameter,
-    ("farey", "neighbors"): _run_farey_neighbors,
-    ("seifert", "info"): _run_seifert_info,
-}
+    return lambda: payload, lambda: (
+        f"verdict={payload['verdict']} e={payload['euler_number']} "
+        f"d={payload['d']} h1_free={payload['h1']['free_rank']} "
+        f"h1_torsion={payload['h1']['torsion']} h2={payload['h2_rank']} "
+        f"fibers=[{' '.join(f'{a}:{b}' for a, b in payload['fibers'])}]"
+    )
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -244,7 +228,8 @@ def _run(argv: list[str] | None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        output = _DISPATCH[(ns.command, ns.subcommand)](ns)
+        as_json, as_other = ns.run(ns)
+        output = json.dumps(as_json(), indent=2) if ns.format == "json" else as_other()
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

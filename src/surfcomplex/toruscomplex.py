@@ -234,7 +234,7 @@ def _building():
     try:
         yield
     except ValueError as exc:
-        raise RuntimeError(f"certificate construction failed: {exc}") from exc
+        raise RuntimeError(f"construction failed: {exc}") from exc
 
 
 def edge_witness(a: ProjVector, b: ProjVector) -> IntMatrix:
@@ -245,16 +245,13 @@ def edge_witness(a: ProjVector, b: ProjVector) -> IntMatrix:
     The solutions are then exactly w0 + s*a + t*b, and w is the Bezout
     vector w0 of a x b with its coordinates along a and b rounded away, so
     w does not depend on w0 and its Euclidean norm is at most
-    (|a| + |b|)/2 + 1.
+    (|a| + |b|)/2 + 1.  It is the witness of the one-hop `connect_path`
+    certificate, checked there.
     """
     g = intersection_components(a, b)
     if g != 1:
         raise ValueError(f"not an edge: pair meets in {g} components")
-    x, y = a.coords, b.coords
-    m = IntMatrix(tuple(zip(x, y, _witness_column(cross_product(x, y), x, y))))
-    with _building():
-        _check_edge(a, b, m)
-    return m
+    return connect_path(a, b).witnesses[0]
 
 
 @dataclass(frozen=True)
@@ -458,7 +455,8 @@ def build_graph(kind: str, height: int, n: int = 3) -> ComplexGraph:
     read off them, and the bitsets kept as the graph's `adjacency`.  The
     edge list is sorted and independent of evaluation order.  More than
     MAX_GRAPH_CANDIDATES (4096) candidate vectors (2*height+1)**n raise
-    ValueError before any enumeration.
+    ValueError before any enumeration; a graph that then fails its own
+    checks is an internal fault and raises RuntimeError.
     """
     if kind not in GRAPH_KINDS:
         raise ValueError(f"unknown graph kind {kind!r}")
@@ -477,7 +475,8 @@ def build_graph(kind: str, height: int, n: int = 3) -> ComplexGraph:
     idx = list(range(len(vertices)))
     edges = tuple([e for i, row in zip(idx, adj)
                    for e in zip(repeat(i), _members(row >> i + 1 << i + 1, idx))])
-    g = ComplexGraph(kind=kind, height=height, vertices=vertices, edges=edges)
+    with _building():
+        g = ComplexGraph(kind=kind, height=height, vertices=vertices, edges=edges)
     object.__setattr__(g, "adjacency", adj)
     return g
 

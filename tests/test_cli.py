@@ -2,9 +2,12 @@
 
 import contextlib
 import json
+import os
 import random
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -330,6 +333,15 @@ def test_broken_middle_pair_is_an_internal_error(capsys, monkeypatch, argv):
     assert err.startswith("internal error:")
 
 
+def test_broken_vertex_list_is_an_internal_error(capsys, monkeypatch):
+    """A fault in the graph that build_graph makes for itself, after its
+    inputs are accepted, exits 1."""
+    repeated = _broken("enumerate_vertices", lambda vs: vs[:1] + vs)
+    monkeypatch.setattr(toruscomplex, "enumerate_vertices", repeated)
+    code, out, err = run(capsys, "torus", "graph", "--height", "1")
+    assert (code, out, err) == (1, "", "internal error: construction failed: repeated vertex\n")
+
+
 @pytest.mark.parametrize("argv", [("1,2,0", "1,0,0"), ("2,3,5", "0,0,1")])
 def test_broken_bezout_column_is_an_internal_error(capsys, monkeypatch, argv):
     # Negated, so that the middle vertex, canonicalized from the same
@@ -339,6 +351,27 @@ def test_broken_bezout_column_is_an_internal_error(capsys, monkeypatch, argv):
     code, out, err = run(capsys, "torus", "path", *argv)
     assert code == 1 and out == ""
     assert err.startswith("internal error:")
+
+
+TESTS = Path(__file__).resolve().parent
+
+
+def spawn(*argv):
+    # `python -m surfcomplex.cli` on this checkout's sources.
+    env = {**os.environ, "PYTHONPATH": str(TESTS.parent / "src")}
+    return subprocess.run([sys.executable, "-m", "surfcomplex.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_module_process_exit_status():
+    """The process path: `entrypoint()` turns main's code into the exit status."""
+    done = spawn("torus", "path", "2,3,5", "0,0,1")
+    assert done.returncode == 0
+    assert done.stdout == (TESTS / "golden" / "path-one-hop-json.out").read_text()
+    assert spawn("torus", "path", "2,4,6", "0,0,1").returncode == 2
+    done = spawn("torus", "path", "2,3,5", "0,0,1", "--bogus")
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("usage: surfcomplex")
 
 
 def test_determinism_of_path_output(capsys):

@@ -354,10 +354,14 @@ CERT_GOLDEN = json.loads((Path(__file__).parent / "golden" / "certificates.json"
 
 
 def certificate_pairs(case):
-    """Every pair of height-3 classes, or `pairs` seeded draws with entries
+    """Every pair of height-3 classes, every edge of the height-3
+    truncation for "height3-edges", or `pairs` seeded draws with entries
     up to 10**k for the sample "1ek"."""
     if case["sample"] == "height3":
         return list(combinations(enumerate_vertices(3, 3), 2))
+    if case["sample"] == "height3-edges":
+        g = build_graph("surface-complex-s1", 3)
+        return [(g.vertices[i], g.vertices[j]) for i, j in g.edges]
     bound, rng = 10 ** int(case["sample"][2:]), random.Random(case["seed"])
     draws = ([rng.randint(-bound, bound) for _ in range(3)] for _ in count())
     classes = (canonicalize(v) for v in draws if math.gcd(*v) == 1)
@@ -366,11 +370,16 @@ def certificate_pairs(case):
 
 @pytest.mark.parametrize("case", CERT_GOLDEN, ids=lambda c: f"{c['function']}-{c['sample']}")
 def test_certificates_match_golden(case):
-    """The sha256 of the certificates' `to_json_dict()` as compact JSON,
-    in pair order: the bytes of every witness, middle vertex and transform."""
-    build = {"connect_path": connect_path, "two_hop_path": two_hop_path}[case["function"]]
+    """The sha256 of the certificates' `to_json_dict()` (of the matrix's
+    `to_lists()` for `edge_witness`) as compact JSON, in pair order: the
+    bytes of every witness, middle vertex and transform."""
+    build = {
+        "connect_path": lambda a, b: connect_path(a, b).to_json_dict(),
+        "two_hop_path": lambda a, b: two_hop_path(a, b).to_json_dict(),
+        "edge_witness": lambda a, b: edge_witness(a, b).to_lists(),
+    }[case["function"]]
     pairs = certificate_pairs(case)
-    payload = json.dumps([build(a, b).to_json_dict() for a, b in pairs], separators=(",", ":"))
+    payload = json.dumps([build(a, b) for a, b in pairs], separators=(",", ":"))
     assert len(pairs) == case["pairs"]
     assert hashlib.sha256(payload.encode()).hexdigest() == case["sha256"]
 
