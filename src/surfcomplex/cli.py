@@ -4,12 +4,13 @@ Subcommands:
   torus path A B
   torus distance A B --height H
   torus simplex V1 V2 ... [--complex finegold|surface] [--dim N]
-  torus graph --height H [--kind finegold|surface] [--dim N] [--format dot|json]
+  torus graph --height H [--kind finegold|surface] [--dim N]
   torus diameter --height H
   farey neighbors P,Q --height H
   seifert info --genus G --b B [--fiber A:B]...
 
 Vectors are comma-separated integers ("2,3,5"), fibers are "alpha:beta".
+Output is JSON, or on request text (DOT for `torus graph`).
 Data goes to stdout, diagnostics to stderr.  Exit codes: 0 success,
 2 invalid input, 1 internal invariant failure.
 """
@@ -42,6 +43,15 @@ def parse_fiber(text: str) -> tuple[int, int]:
         raise ValueError(f"malformed fiber {text!r}: expected integers") from None
 
 
+_KIND_TAGS = {"finegold": "finegold-skeleton", "surface": "surface-complex-s1"}
+
+
+def _leaf(p: argparse.ArgumentParser, run: Callable, other: str = "text") -> None:
+    # Called last, so the help lists the format after the leaf's arguments.
+    p.add_argument("--format", choices=("json", other), default="json")
+    p.set_defaults(run=run)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="surfcomplex",
@@ -56,42 +66,36 @@ def _build_parser() -> argparse.ArgumentParser:
     p = tsub.add_parser("path", help="certified path of at most two edges")
     p.add_argument("a", help="start vertex, e.g. 2,3,5")
     p.add_argument("b", help="end vertex, e.g. 0,0,1")
-    p.add_argument("--format", choices=("json", "text"), default="json")
-    p.set_defaults(run=_run_torus_path)
+    _leaf(p, _run_torus_path)
 
     p = tsub.add_parser("distance", help="BFS distance in a height truncation")
     p.add_argument("a")
     p.add_argument("b")
     p.add_argument("--height", type=int, required=True)
-    p.add_argument("--format", choices=("json", "text"), default="json")
-    p.set_defaults(run=_run_torus_distance)
+    _leaf(p, _run_torus_distance)
 
     p = tsub.add_parser("simplex", help="simplex test with witness minors")
     p.add_argument("vertices", nargs="+")
-    p.add_argument("--complex", choices=("finegold", "surface"), default="finegold")
+    p.add_argument("--complex", choices=tuple(_KIND_TAGS), default="finegold")
     p.add_argument("--dim", type=int, default=None)
-    p.add_argument("--format", choices=("json", "text"), default="json")
-    p.set_defaults(run=_run_torus_simplex)
+    _leaf(p, _run_torus_simplex)
 
     p = tsub.add_parser("graph", help="truncated 1-skeleton as DOT or JSON")
     p.add_argument("--height", type=int, required=True)
-    p.add_argument("--kind", choices=("finegold", "surface"), default="surface")
+    p.add_argument("--kind", choices=tuple(_KIND_TAGS), default="surface")
     p.add_argument("--dim", type=int, default=3)
-    p.add_argument("--format", choices=("json", "dot"), default="json")
-    p.set_defaults(run=_run_torus_graph)
+    _leaf(p, _run_torus_graph, "dot")
 
     p = tsub.add_parser("diameter", help="max BFS distance in a truncation")
     p.add_argument("--height", type=int, required=True)
-    p.add_argument("--format", choices=("json", "text"), default="json")
-    p.set_defaults(run=_run_torus_diameter)
+    _leaf(p, _run_torus_diameter)
 
     farey = top.add_parser("farey", help="Farey graph operations")
     fsub = farey.add_subparsers(dest="subcommand", required=True)
     p = fsub.add_parser("neighbors", help="neighbors of a slope in a truncation")
     p.add_argument("vertex", help="slope as P,Q")
     p.add_argument("--height", type=int, required=True)
-    p.add_argument("--format", choices=("json", "text"), default="json")
-    p.set_defaults(run=_run_farey_neighbors)
+    _leaf(p, _run_farey_neighbors)
 
     sf = top.add_parser("seifert", help="Seifert fibered space reports")
     ssub = sf.add_subparsers(dest="subcommand", required=True)
@@ -99,8 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--fiber", action="append", default=[], metavar="A:B")
-    p.add_argument("--format", choices=("json", "text"), default="json")
-    p.set_defaults(run=_run_seifert_info)
+    _leaf(p, _run_seifert_info)
 
     return parser
 
@@ -113,7 +116,7 @@ def _height(ns: argparse.Namespace) -> int:
 
 # A runner computes its answer and returns two zero-argument renderings:
 # the JSON payload and the other format (text, or DOT for `torus graph`).
-# `_run` builds only the one that --format selects.
+# `_run` builds only the one that the leaf's format option selects.
 _Renderings = tuple[Callable[[], object], Callable[[], str]]
 
 
@@ -158,12 +161,10 @@ def _run_torus_simplex(ns: argparse.Namespace) -> _Renderings:
         payload["pair_minor_gcds"] = pair_gcds
     else:
         gcds = toruscomplex.finegold_minors(vs, n)
-        payload["is_simplex"] = toruscomplex.is_finegold_simplex(vs, n)
-        payload["facet_minors_gcds" if isinstance(gcds, list) else "minors_gcd"] = gcds
+        facets = gcds if isinstance(gcds, list) else [gcds]
+        payload["is_simplex"] = all(g == 1 for g in facets)
+        payload["facet_minors_gcds" if facets is gcds else "minors_gcd"] = gcds
     return lambda: payload, lambda: "true" if payload["is_simplex"] else "false"
-
-
-_KIND_TAGS = {"finegold": "finegold-skeleton", "surface": "surface-complex-s1"}
 
 
 def _run_torus_graph(ns: argparse.Namespace) -> _Renderings:

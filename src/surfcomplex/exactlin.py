@@ -389,11 +389,9 @@ def complete_to_unimodular(v: Sequence[int]) -> IntMatrix:
             raise TypeError(f"non-integer entry {e!r}")
     if content(vv) != 1:
         raise ValueError(f"vector is not primitive (content {content(vv)})")
+    if vv == (-1,):
+        raise ValueError("(-1,) has no determinant-1 completion")
     n = len(vv)
-    if n == 1:
-        if vv[0] != 1:
-            raise ValueError("(-1,) has no determinant-1 completion")
-        return IntMatrix.identity(1)
     M = [[int(i == j) for j in range(n)] for i in range(n)]
     g = vv[0]
     for i in range(1, n):
@@ -401,11 +399,8 @@ def complete_to_unimodular(v: Sequence[int]) -> IntMatrix:
         g2, x, y = xgcd(g, b)
         if g2 == 0:
             continue
-        p, q = g // g2, b // g2
-        for r in range(n):
-            c0, ci = M[r][0], M[r][i]
-            M[r][0] = p * c0 + q * ci
-            M[r][i] = x * ci - y * c0
+        # (col 0, col i) <- ((g*col 0 + b*col i)/g2, x*col i - y*col 0).
+        _combine_cols(M, 0, i, g // g2, b // g2, x, y)
         g = g2
     out = IntMatrix.from_rows(M)
     if out.column(0) != vv or det(out) != 1:

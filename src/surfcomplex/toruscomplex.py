@@ -562,19 +562,17 @@ def farey_neighbors(v: ProjVector, height: int) -> list[ProjVector]:
 
 
 def graph_to_json_dict(g: ComplexGraph) -> dict:
+    """The graph as a JSON-ready dict; its "edges" is `g.edges` itself, a
+    tuple of pairs, which `json` writes as arrays."""
     return {
         "kind": g.kind,
         "height": g.height,
         "vertices": [list(v.coords) for v in g.vertices],
-        "edges": [list(e) for e in g.edges],
+        "edges": g.edges,
     }
 
 
 def graph_to_dot(g: ComplexGraph) -> str:
-    lines = ["graph {"]
-    for v in g.vertices:
-        lines.append(f'  "{v.label}";')
-    for i, j in g.edges:
-        lines.append(f'  "{g.vertices[i].label}" -- "{g.vertices[j].label}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    names = [f'"{v.label}"' for v in g.vertices]
+    edges = (f"  {names[i]} -- {names[j]};" for i, j in g.edges)
+    return "\n".join(["graph {", *(f"  {name};" for name in names), *edges, "}", ""])

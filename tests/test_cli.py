@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from surfcomplex import toruscomplex
+from surfcomplex import exactlin, toruscomplex
 from surfcomplex.cli import main, parse_fiber, parse_vector
 
 
@@ -123,6 +123,19 @@ def test_torus_simplex_facets(capsys):
 def test_torus_simplex_farey_dim2(capsys):
     d = run_json(capsys, "torus", "simplex", "1,0", "0,1", "--dim", "2")
     assert d["is_simplex"] is True
+
+
+@pytest.mark.parametrize("vertices, smith_forms", [(("1,0,0", "0,1,0", "0,0,1", "1,1,2"), 4),
+                                                   (("2,3,5", "1,2,0"), 1)])
+def test_torus_simplex_runs_one_smith_form_per_reported_gcd(capsys, monkeypatch, vertices,
+                                                            smith_forms):
+    """One Smith form per minor gcd in the output: is_simplex is read off
+    those gcds, not computed again."""
+    calls = []
+    original = exactlin.invariant_factors
+    monkeypatch.setattr(exactlin, "invariant_factors", lambda rows: calls.append(rows) or original(rows))
+    run_json(capsys, "torus", "simplex", *vertices)
+    assert len(calls) == smith_forms
 
 
 # ----------------------------------------------------------- torus graph

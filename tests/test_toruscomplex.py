@@ -651,6 +651,20 @@ def test_graph_dot_format():
     assert dot.rstrip().endswith("}")
 
 
+def test_graph_dot_renders_each_label_once(monkeypatch):
+    g = build_graph("surface-complex-s1", 2)
+    calls = []
+    label = ProjVector.label
+    monkeypatch.setattr(ProjVector, "label", property(lambda v: calls.append(v) or label.fget(v)))
+    assert graph_to_dot(g).count(" -- ") == len(g.edges)
+    assert calls == list(g.vertices)
+
+
+def test_graph_json_edges_are_the_graph_edges():
+    g = build_graph("surface-complex-s1", 2)
+    assert graph_to_json_dict(g)["edges"] is g.edges
+
+
 # ------------------------------------------------------- local structure
 
 
