@@ -72,14 +72,8 @@ class IntMatrix:
     def cols(self) -> int:
         return len(self.entries[0])
 
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i]
-
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(row[j] for row in self.entries)
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(tuple(zip(*self.entries)))
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
@@ -91,12 +85,6 @@ class IntMatrix:
                 for row in self.entries
             )
         )
-
-    def apply(self, v: Sequence[int]) -> tuple[int, ...]:
-        """Matrix-vector product."""
-        if len(v) != self.cols:
-            raise ValueError("dimension mismatch")
-        return tuple(sum(a * x for a, x in zip(row, v)) for row in self.entries)
 
     def to_lists(self) -> list[list[int]]:
         return [list(row) for row in self.entries]

@@ -34,7 +34,6 @@ __all__ = [
     "pi1_presentation",
     "h1",
     "h2_rank",
-    "relative_h2_rank_disk_base",
     "torus_link_components",
     "classify_surface_complex",
     "info_json_dict",
@@ -69,19 +68,6 @@ class SeifertInvariants:
                 raise ValueError(f"fiber multiplicity must be positive, got {alpha}")
             if math.gcd(alpha, beta) != 1:
                 raise ValueError(f"fiber pair {f} is not coprime")
-
-    @property
-    def fiber_count(self) -> int:
-        return len(self.fibers)
-
-    @property
-    def is_normalized(self) -> bool:
-        return self == normalize(self)
-
-    def __str__(self) -> str:
-        parts = [str(self.genus), str(self.b)]
-        parts += [f"({a},{b})" for a, b in self.fibers]
-        return "<" + ", ".join(parts) + ">"
 
 
 def normalize(inv: SeifertInvariants) -> SeifertInvariants:
@@ -135,7 +121,7 @@ class PresentationData:
 
 
 def pi1_presentation(inv: SeifertInvariants) -> PresentationData:
-    g, k = inv.genus, inv.fiber_count
+    g, k = inv.genus, len(inv.fibers)
     names: list[str] = []
     for i in range(1, g + 1):
         names += [f"a{i}", f"b{i}"]
@@ -185,7 +171,7 @@ def h1(inv: SeifertInvariants) -> HomologySummary:
     (x_1, ..., x_k, h) has the rows (1, ..., 1, -b) and alpha_i x_i +
     beta_i h, and is reduced by Smith normal form.
     """
-    g, k = inv.genus, inv.fiber_count
+    g, k = inv.genus, len(inv.fibers)
     rows = [[1] * k + [-inv.b]]
     for j, (alpha, beta) in enumerate(inv.fibers):
         row = [0] * (k + 1)
@@ -210,14 +196,6 @@ def h2_rank(inv: SeifertInvariants) -> int:
     (universal coefficients plus duality), hence 2g + 1 when the Euler
     number vanishes and 2g otherwise."""
     return h1(inv).free_rank
-
-
-def relative_h2_rank_disk_base(k: int) -> int:
-    """Rank of second relative homology for a space fibered over the disk
-    with k exceptional fibers: always 1, independent of k."""
-    if k < 0:
-        raise ValueError("fiber count must be nonnegative")
-    return 1
 
 
 def torus_link_components(m: int, n: int) -> int:
@@ -274,7 +252,7 @@ def classify_surface_complex(inv: SeifertInvariants) -> StructureReport:
 
 def _classify(norm: SeifertInvariants, e: Fraction) -> StructureReport:
     # The verdict table over normalized invariants and their Euler number.
-    g, k = norm.genus, norm.fiber_count
+    g, k = norm.genus, len(norm.fibers)
     base = (g, k)
     if e != 0:
         return StructureReport(

@@ -246,12 +246,12 @@ def edge_witness(a: ProjVector, b: ProjVector) -> IntMatrix:
     vector w0 of a x b with its coordinates along a and b rounded away, so
     w does not depend on w0 and its Euclidean norm is at most
     (|a| + |b|)/2 + 1.  It is the witness of the one-hop `connect_path`
-    certificate, checked there.
+    certificate, checked there; a pair that is not an edge raises ValueError.
     """
-    g = intersection_components(a, b)
-    if g != 1:
-        raise ValueError(f"not an edge: pair meets in {g} components")
-    return connect_path(a, b).witnesses[0]
+    cert = connect_path(a, b)
+    if cert.num_edges != 1:
+        raise ValueError(f"not an edge: pair meets in {intersection_components(a, b)} components")
+    return cert.witnesses[0]
 
 
 @dataclass(frozen=True)
@@ -411,10 +411,6 @@ class ComplexGraph:
                        and max(map(itemgetter(1), es)) < len(vs)):
             raise ValueError("edges must be strictly increasing index pairs (i, j), "
                              "0 <= i < j < len(vertices)")
-
-    @property
-    def dimension(self) -> int:
-        return len(self.vertices[0]) if self.vertices else 0
 
     @cached_property
     def _index(self) -> dict[ProjVector, int]:

@@ -27,7 +27,6 @@ from surfcomplex.seifert import (
     info_json_dict,
     normalize,
     pi1_presentation,
-    relative_h2_rank_disk_base,
     torus_link_components,
 )
 
@@ -115,7 +114,7 @@ def test_normalize_sorts_and_preserves_euler():
     norm = normalize(inv)
     assert norm.fibers == tuple(sorted(norm.fibers))
     assert euler_number(norm) == euler_number(inv)
-    assert norm.is_normalized
+    assert normalize(norm) == norm
 
 
 # ------------------------------------------------------------------ euler
@@ -206,14 +205,6 @@ def test_h2_rank_examples():
     assert h2_rank(SFS(1, 0)) == 3
     assert h2_rank(SFS(0, -1, ((4, 1),) * 4)) == 1
     assert h2_rank(SFS(2, 1)) == 4
-
-
-def test_relative_h2_rank_disk_base():
-    assert relative_h2_rank_disk_base(0) == 1
-    assert relative_h2_rank_disk_base(2) == 1
-    assert relative_h2_rank_disk_base(5) == 1
-    with pytest.raises(ValueError):
-        relative_h2_rank_disk_base(-1)
 
 
 def test_h1_matches_full_presentation_oracle_small_grid():

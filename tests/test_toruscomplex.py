@@ -274,8 +274,18 @@ def test_connect_path_random_large(u, w):
 
 
 def test_edge_witness_rejects_non_edges():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not an edge: pair meets in 2 components"):
         edge_witness(V(1, 0, 0), V(1, 2, 0))
+
+
+def test_edge_witness_takes_three_cross_products(monkeypatch):
+    # One for the edge test and witness in connect_path, one for each
+    # determinant the certificate checks; none for a second edge test.
+    calls = []
+    cross = toruscomplex.cross_product
+    monkeypatch.setattr(toruscomplex, "cross_product", lambda a, b: calls.append(1) or cross(a, b))
+    edge_witness(V(2, 3, 5), V(0, 0, 1))
+    assert len(calls) == 3
 
 
 def _with_column(w, j, col):
