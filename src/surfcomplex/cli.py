@@ -3,7 +3,7 @@
 Subcommands:
   torus path A B
   torus distance A B --height H
-  torus simplex V1 V2 ... [--complex finegold|surface] [--dim N]
+  torus simplex V1 V2 ... [--complex finegold|surface]
   torus graph --height H [--kind finegold|surface] [--dim N]
   torus diameter --height H
   farey neighbors P,Q --height H
@@ -77,7 +77,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = tsub.add_parser("simplex", help="simplex test with witness minors")
     p.add_argument("vertices", nargs="+")
     p.add_argument("--complex", choices=tuple(_KIND_TAGS), default="finegold")
-    p.add_argument("--dim", type=int, default=None)
     _leaf(p, _run_torus_simplex)
 
     p = tsub.add_parser("graph", help="truncated 1-skeleton as DOT or JSON")
@@ -141,16 +140,14 @@ def _run_torus_distance(ns: argparse.Namespace) -> _Renderings:
 
 def _run_torus_simplex(ns: argparse.Namespace) -> _Renderings:
     vs = [canonicalize(v) for v in [parse_vector(text) for text in ns.vertices]]
-    n = ns.dim if ns.dim is not None else len(vs[0])
     payload: dict = {
         "complex": ns.complex,
-        "dim": n,
+        "dim": len(vs[0]),
         "vertices": [list(v.coords) for v in vs],
     }
     if ns.complex == "surface":
-        if n != 3:
-            raise ValueError("the surface complex is implemented for dimension 3")
-        if len(vs) < 2 or len(set(vs)) != len(vs):
+        # Each pair is checked by intersection_components, as in `torus path`.
+        if len(vs) < 2:
             raise ValueError("need at least two distinct vertices")
         pair_gcds = [
             [i, j, toruscomplex.intersection_components(vs[i], vs[j])]
@@ -160,7 +157,7 @@ def _run_torus_simplex(ns: argparse.Namespace) -> _Renderings:
         payload["is_simplex"] = all(g == 1 for _, _, g in pair_gcds)
         payload["pair_minor_gcds"] = pair_gcds
     else:
-        gcds = toruscomplex.finegold_minors(vs, n)
+        gcds = toruscomplex.finegold_minors(vs)
         facets = gcds if isinstance(gcds, list) else [gcds]
         payload["is_simplex"] = all(g == 1 for g in facets)
         payload["facet_minors_gcds" if facets is gcds else "minors_gcd"] = gcds

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from operator import mod, mul, or_, xor
 from typing import Iterable, Sequence
 
@@ -33,6 +33,16 @@ __all__ = [
     "content",
     "complete_to_unimodular",
 ]
+
+
+class _building:
+    # Once the inputs are accepted, a ValueError is an internal fault.
+    def __enter__(self) -> None:
+        pass
+
+    def __exit__(self, kind, exc, tb) -> None:
+        if isinstance(exc, ValueError):
+            raise RuntimeError(f"construction failed: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -356,7 +366,8 @@ def invariant_factors(rows: IntMatrix | Sequence[Sequence[int]]) -> tuple[int, .
     """
     raw = rows.entries if isinstance(rows, IntMatrix) else rows
     D = [list(row) for row in raw]
-    if not D or not D[0] or any(len(row) != len(D[0]) for row in D):
+    if (not D or not D[0] or any(len(row) != len(D[0]) for row in D)
+            or not all(map(isinstance, chain.from_iterable(D), repeat(int)))):
         IntMatrix.from_rows(D)  # raises, in IntMatrix's words
     _snf_core(D, len(D), len(D[0]))
     return tuple(D[i][i] for i in range(min(len(D), len(D[0]))))

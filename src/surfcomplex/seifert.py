@@ -20,7 +20,7 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from .exactlin import invariant_factors
+from .exactlin import _building, invariant_factors
 
 __all__ = [
     "SeifertInvariants",
@@ -283,20 +283,22 @@ def info_json_dict(inv: SeifertInvariants) -> dict:
     "euler_number": "p/q", "d": int|null, "h1": {"free_rank": int,
     "torsion": [int, ...]}, "h2_rank": int, "verdict": str,
     "theorem": str, "diameter_bound": int|null}.
+    inv is valid once built, so a ValueError inside is an internal fault.
     """
-    norm = normalize(inv)
-    e = euler_number(norm)
-    hom = h1(norm)
-    report = _classify(norm, e)
-    return {
-        "genus": norm.genus,
-        "b": norm.b,
-        "fibers": [list(f) for f in norm.fibers],
-        "euler_number": f"{e.numerator}/{e.denominator}",
-        "d": report.d,
-        "h1": {"free_rank": hom.free_rank, "torsion": list(hom.torsion)},
-        "h2_rank": hom.free_rank,
-        "verdict": report.verdict.value,
-        "theorem": report.theorem,
-        "diameter_bound": report.diameter_bound,
-    }
+    with _building():
+        norm = normalize(inv)
+        e = euler_number(norm)
+        hom = h1(norm)
+        report = _classify(norm, e)
+        return {
+            "genus": norm.genus,
+            "b": norm.b,
+            "fibers": [list(f) for f in norm.fibers],
+            "euler_number": f"{e.numerator}/{e.denominator}",
+            "d": report.d,
+            "h1": {"free_rank": hom.free_rank, "torsion": list(hom.torsion)},
+            "h2_rank": hom.free_rank,
+            "verdict": report.verdict.value,
+            "theorem": report.theorem,
+            "diameter_bound": report.diameter_bound,
+        }

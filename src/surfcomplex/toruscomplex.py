@@ -30,7 +30,6 @@ the output is a self-certifying object rather than a bare assertion.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, islice, product, repeat, starmap
@@ -38,7 +37,7 @@ from math import gcd
 from operator import itemgetter, lt
 from typing import Sequence
 
-from .exactlin import IntMatrix, _coprime_minor_pairs, content, minors_gcd, xgcd
+from .exactlin import IntMatrix, _building, _coprime_minor_pairs, content, minors_gcd, xgcd
 
 __all__ = [
     "ProjVector",
@@ -162,14 +161,13 @@ def intersection_components(a: ProjVector, b: ProjVector) -> int:
     return gcd(*cross_product(a.coords, b.coords))
 
 
-def finegold_minors(vs: Sequence[ProjVector], n: int | None = None) -> int | list[int]:
-    """The minor gcds behind `is_finegold_simplex`: for k+1 <= n vertices,
-    the gcd of the (k+1)x(k+1) minors of the n x (k+1) matrix of
-    representatives; for n+1 vertices, the list of the n x n minor gcds of
-    the facets, omitting vertex 0, 1, ..., n in turn."""
+def finegold_minors(vs: Sequence[ProjVector]) -> int | list[int]:
+    """The minor gcds behind `is_finegold_simplex`, with n = len(vs[0]):
+    for k+1 <= n vertices, the gcd of the (k+1)x(k+1) minors of the
+    n x (k+1) matrix of representatives; for n+1 vertices, the list of the
+    n x n minor gcds of the facets, omitting vertex 0, 1, ..., n in turn."""
     vs = list(vs)
-    if n is None:
-        n = len(vs[0]) if vs else 0
+    n = len(vs[0]) if vs else 0
     if any(len(v) != n for v in vs):
         raise ValueError(f"all vertices must have length {n}")
     if not 2 <= len(vs) <= n + 1:
@@ -182,11 +180,11 @@ def finegold_minors(vs: Sequence[ProjVector], n: int | None = None) -> int | lis
     return [minors_gcd(IntMatrix.from_columns(cols[:j] + cols[j + 1:]), n) for j in range(len(cols))]
 
 
-def is_finegold_simplex(vs: Sequence[ProjVector], n: int | None = None) -> bool:
-    """Simplex test of the torus complex over SL(n, Z): true when every gcd
-    of `finegold_minors` is 1 (for k+1 == n vertices, |det| == 1; flipping
-    one representative's sign realizes +1 within the same classes)."""
-    gcds = finegold_minors(vs, n)
+def is_finegold_simplex(vs: Sequence[ProjVector]) -> bool:
+    """Simplex test of the torus complex over SL(n, Z), n = len(vs[0]): true
+    when every gcd of `finegold_minors` is 1 (for k+1 == n vertices,
+    |det| == 1; flipping one sign realizes +1 within the same classes)."""
+    gcds = finegold_minors(vs)
     return all(g == 1 for g in (gcds if isinstance(gcds, list) else [gcds]))
 
 
@@ -225,16 +223,6 @@ def _check_edge(u: ProjVector, v: ProjVector, w: IntMatrix) -> None:
         raise ValueError("witness columns do not match the edge")
     if _det3(*cols) != 1:
         raise ValueError("witness determinant is not 1")
-
-
-@contextmanager
-def _building():
-    # Once the inputs are accepted, a ValueError is an internal fault of the
-    # construction, not invalid input.
-    try:
-        yield
-    except ValueError as exc:
-        raise RuntimeError(f"construction failed: {exc}") from exc
 
 
 def edge_witness(a: ProjVector, b: ProjVector) -> IntMatrix:
@@ -384,10 +372,10 @@ def _members(bits: int, idx: Sequence[int]) -> list[int]:
 
 @dataclass(frozen=True)
 class ComplexGraph:
-    """A height-truncated 1-skeleton: distinct vertices (in lexicographic
-    order from `build_graph`), edges as strictly increasing index pairs
-    (i, j) with i < j.  The vertex index and the adjacency bitsets are
-    derived on first use and kept; `build_graph` seeds the bitsets."""
+    """A height-truncated 1-skeleton: distinct vertices of one length (in
+    lexicographic order from `build_graph`), edges as strictly increasing
+    index pairs (i, j) with i < j.  The vertex index and the adjacency
+    bitsets are derived on first use and kept; `build_graph` seeds them."""
 
     kind: str
     height: int
@@ -400,6 +388,8 @@ class ComplexGraph:
         if self.height < 1:
             raise ValueError("height must be >= 1")
         vs, es = self.vertices, self.edges
+        if len(set(map(len, vs))) > 1:
+            raise ValueError(f"all vertices must have length {len(vs[0])}")
         for v in vs:
             if max(abs(e) for e in v.coords) > self.height:
                 raise ValueError(f"vertex ({v.label}) exceeds height {self.height}")

@@ -93,7 +93,7 @@ def test_criterion_2_flag_triangle_counterexample():
         triple = [V(1, 0, 0), V(0, 1, 0), V(1, 1, 2)]
         for a, b in combinations(triple, 2):
             assert s1_edge(a, b)
-        assert not is_finegold_simplex(triple, 3)
+        assert not is_finegold_simplex(triple)
         m = IntMatrix.from_columns([v.coords for v in triple])
         assert det(m) in (2, -2)
 

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from surfcomplex import exactlin, toruscomplex
+from surfcomplex import exactlin, seifert, toruscomplex
 from surfcomplex.cli import main, parse_fiber, parse_vector
 
 
@@ -120,8 +120,19 @@ def test_torus_simplex_facets(capsys):
     assert d["facet_minors_gcds"] == [1, 1, 1, 1]
 
 
+@pytest.mark.parametrize("vertices, message", [
+    (("1,0,0",), "need at least two distinct vertices"),
+    (("1,0", "0,1"), "expected length-3 vertices"),
+    (("1,0,0", "0,1,0", "0,0,1,0"), "expected length-3 vertices"),
+    (("1,0,0", "0,1,0", "-1,0,0"), "vertices must be distinct projective classes"),
+])
+def test_torus_simplex_surface_rejects_what_torus_path_rejects(capsys, vertices, message):
+    code, out, err = run(capsys, "torus", "simplex", "--complex", "surface", "--", *vertices)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_torus_simplex_farey_dim2(capsys):
-    d = run_json(capsys, "torus", "simplex", "1,0", "0,1", "--dim", "2")
+    d = run_json(capsys, "torus", "simplex", "1,0", "0,1")
     assert d["is_simplex"] is True
 
 
@@ -364,6 +375,18 @@ def test_broken_bezout_column_is_an_internal_error(capsys, monkeypatch, argv):
     code, out, err = run(capsys, "torus", "path", *argv)
     assert code == 1 and out == ""
     assert err.startswith("internal error:")
+
+
+def test_broken_seifert_report_is_an_internal_error(capsys, monkeypatch):
+    """The tuple is validated before the report is built, so a ValueError
+    from inside the report exits 1, not 2."""
+    def fault(rows):
+        raise ValueError("injected fault")
+
+    monkeypatch.setattr(seifert, "invariant_factors", fault)
+    code, out, err = run(capsys, "seifert", "info", "--genus", "0", "--b", "-1",
+                         "--fiber", "2:1", "--fiber", "2:1")
+    assert (code, out, err) == (1, "", "internal error: construction failed: injected fault\n")
 
 
 TESTS = Path(__file__).resolve().parent

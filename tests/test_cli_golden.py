@@ -13,7 +13,8 @@ or transform changed when certificates became size-reduced were captured
 again from that version, after `bench/verify.py` and the sympy oracle of
 `test_certificate_oracle.py` had accepted its certificates.  The help and
 argparse-error files were captured before the CLI's dispatch moved onto
-the parsers; argparse wraps help to $COLUMNS, so the test fixes it at 80.
+the parsers, and `help-torus-simplex` again when `torus simplex` lost its
+`--dim` option; argparse wraps help to $COLUMNS, so the test fixes it at 80.
 """
 
 import json

@@ -295,6 +295,12 @@ def test_invariant_factors_rejects_ragged_rows():
         invariant_factors([[2, 4], [6]])
 
 
+def test_invariant_factors_rejects_non_integer_entries():
+    for rows in ([[2.0, 4]], [[2, 4], [6, 8.5]]):
+        with pytest.raises(TypeError, match="non-integer entry"):
+            invariant_factors(rows)
+
+
 def test_invariant_factors_rejects_empty_matrices():
     for rows in ([[]], [], [[], []]):
         with pytest.raises(ValueError, match="matrix needs at least one row and one column"):

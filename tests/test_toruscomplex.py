@@ -115,7 +115,7 @@ def test_edge_predicates_agree_exhaustive_height_3():
     vs = enumerate_vertices(3, 3)
     for a, b in combinations(vs, 2):
         edge = s1_edge(a, b)
-        assert edge == is_finegold_simplex([a, b], 3)
+        assert edge == is_finegold_simplex([a, b])
         assert edge == (intersection_components(a, b) == 1)
 
 
@@ -128,43 +128,43 @@ def test_triangle_in_flag_complex_but_not_torus_complex():
     triple = [V(1, 0, 0), V(0, 1, 0), V(1, 1, 2)]
     for a, b in combinations(triple, 2):
         assert s1_edge(a, b)
-    assert not is_finegold_simplex(triple, 3)
+    assert not is_finegold_simplex(triple)
     m = IntMatrix.from_columns([v.coords for v in triple])
     assert abs(det(m)) == 2
 
 
 def test_simplex_examples():
-    assert is_finegold_simplex([V(1, 0, 0), V(0, 1, 0), V(0, 0, 1)], 3)
-    assert is_finegold_simplex([V(2, 3, 5), V(1, 2, 0)], 3)
+    assert is_finegold_simplex([V(1, 0, 0), V(0, 1, 0), V(0, 0, 1)])
+    assert is_finegold_simplex([V(2, 3, 5), V(1, 2, 0)])
 
 
 def test_simplex_error_cases():
     with pytest.raises(ValueError):
-        is_finegold_simplex([V(1, 0, 0)], 3)
+        is_finegold_simplex([V(1, 0, 0)])
     with pytest.raises(ValueError):
-        is_finegold_simplex([V(1, 0, 0)] * 2, 3)
+        is_finegold_simplex([V(1, 0, 0)] * 2)
     with pytest.raises(ValueError):
-        is_finegold_simplex([V(1, 0, 0), V(0, 1, 0), V(0, 0, 1), V(1, 1, 1), V(1, 1, 0)], 3)
-    with pytest.raises(ValueError):
-        is_finegold_simplex([V(1, 0), V(0, 1)], 3)
+        is_finegold_simplex([V(1, 0, 0), V(0, 1, 0), V(0, 0, 1), V(1, 1, 1), V(1, 1, 0)])
 
 
 def test_finegold_minors_values():
     assert finegold_minors([V(1, 0, 0), V(0, 1, 0), V(1, 1, 2)]) == 2
-    assert finegold_minors([V(2, 3, 5), V(1, 2, 0)], 3) == 1
+    assert finegold_minors([V(2, 3, 5), V(1, 2, 0)]) == 1
     assert finegold_minors([V(1, 0, 0), V(1, 2, 0)]) == 2
     assert finegold_minors([V(1, 0, 0), V(0, 1, 0), V(0, 0, 1), V(1, 1, 2)]) == [1, 1, 2, 1]
     assert finegold_minors([V(1, 0), V(0, 1), V(1, 1)]) == [1, 1, 1]
     with pytest.raises(ValueError, match="repeated"):
         finegold_minors([V(1, 0, 0)] * 2)
+    with pytest.raises(ValueError, match="all vertices must have length 3"):
+        finegold_minors([V(1, 0, 0), V(0, 1)])
 
 
 def test_four_vertex_simplex_facet_rule():
     quad = [V(1, 0, 0), V(0, 1, 0), V(0, 0, 1), V(1, 1, 1)]
-    assert is_finegold_simplex(quad, 3)
+    assert is_finegold_simplex(quad)
     # Replacing one vertex by a facet-breaking one fails.
     bad = [V(1, 0, 0), V(0, 1, 0), V(0, 0, 1), V(1, 1, 2)]
-    assert not is_finegold_simplex(bad, 3)
+    assert not is_finegold_simplex(bad)
 
 
 SIX_SIMPLEX = [(0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1), (1, 2, 0)]
@@ -584,6 +584,8 @@ def test_complex_graph_validation():
         ComplexGraph("surface-complex-s1", 1, (V(1, 0, 0), V(0, 1, 0)), ((1, 0),))
     with pytest.raises(ValueError):
         ComplexGraph("bogus", 1, (V(1, 0, 0),), ())
+    with pytest.raises(ValueError, match="all vertices must have length 2"):
+        ComplexGraph("finegold-skeleton", 1, (V(1, 0), V(1, 0, 0)), ())
 
 
 def test_complex_graph_rejects_repeated_or_unsorted_edges():
