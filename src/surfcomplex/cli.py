@@ -23,6 +23,7 @@ import sys
 from typing import Callable
 
 from . import seifert, toruscomplex
+from .exactlin import _building
 from .toruscomplex import canonicalize
 
 
@@ -227,7 +228,8 @@ def _run(argv: list[str] | None) -> int:
         return int(exc.code or 0)
     try:
         as_json, as_other = ns.run(ns)
-        output = json.dumps(as_json(), indent=2) if ns.format == "json" else as_other()
+        with _building():  # the runner accepted the input
+            output = json.dumps(as_json(), indent=2) if ns.format == "json" else as_other()
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

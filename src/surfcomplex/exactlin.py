@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import repeat
 from operator import mod, mul, or_, xor
 from typing import Iterable, Sequence
 
@@ -45,6 +45,18 @@ class _building:
             raise RuntimeError(f"construction failed: {exc}") from exc
 
 
+def _check_rows(rows: Sequence[Sequence[int]]) -> None:
+    # The one matrix check, for IntMatrix and raw rows alike.
+    if not rows or not rows[0]:
+        raise ValueError("matrix needs at least one row and one column")
+    for row in rows:
+        if len(row) != len(rows[0]):
+            raise ValueError("ragged rows")
+        for e in row:
+            if not isinstance(e, int):
+                raise TypeError(f"non-integer entry {e!r}")
+
+
 @dataclass(frozen=True)
 class IntMatrix:
     """Immutable integer matrix stored as a tuple of row tuples."""
@@ -52,15 +64,7 @@ class IntMatrix:
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if not self.entries or not self.entries[0]:
-            raise ValueError("matrix needs at least one row and one column")
-        width = len(self.entries[0])
-        for row in self.entries:
-            if len(row) != width:
-                raise ValueError("ragged rows")
-            for e in row:
-                if not isinstance(e, int):
-                    raise TypeError(f"non-integer entry {e!r}")
+        _check_rows(self.entries)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> "IntMatrix":
@@ -364,11 +368,8 @@ def invariant_factors(rows: IntMatrix | Sequence[Sequence[int]]) -> tuple[int, .
     Accepts an IntMatrix or raw rows; returns all min(m, n) diagonal
     entries, including trailing zeros.
     """
-    raw = rows.entries if isinstance(rows, IntMatrix) else rows
-    D = [list(row) for row in raw]
-    if (not D or not D[0] or any(len(row) != len(D[0]) for row in D)
-            or not all(map(isinstance, chain.from_iterable(D), repeat(int)))):
-        IntMatrix.from_rows(D)  # raises, in IntMatrix's words
+    D = [list(row) for row in (rows.entries if isinstance(rows, IntMatrix) else rows)]
+    _check_rows(D)
     _snf_core(D, len(D), len(D[0]))
     return tuple(D[i][i] for i in range(min(len(D), len(D[0]))))
 
@@ -381,11 +382,7 @@ def complete_to_unimodular(v: Sequence[int]) -> IntMatrix:
     column operations (Hermite-style back substitution).
     """
     vv = tuple(v)
-    if not vv:
-        raise ValueError("empty vector")
-    for e in vv:
-        if not isinstance(e, int):
-            raise TypeError(f"non-integer entry {e!r}")
+    _check_rows((vv,))
     if content(vv) != 1:
         raise ValueError(f"vector is not primitive (content {content(vv)})")
     if vv == (-1,):

@@ -82,13 +82,12 @@ class ProjVector:
         for e in c:
             if not isinstance(e, int):
                 raise TypeError(f"non-integer coordinate {e!r}")
-        if all(e == 0 for e in c):
-            raise ValueError("zero vector is not a vertex")
         g = content(c)
+        if g == 0:
+            raise ValueError("zero vector is not a vertex")
         if g != 1:
             raise ValueError(f"vector is not primitive (content {g})")
-        first = next(e for e in c if e != 0)
-        if first < 0:
+        if next(filter(None, c)) < 0:
             raise ValueError("not canonical: first nonzero coordinate is negative")
 
     def __len__(self) -> int:
@@ -102,14 +101,11 @@ class ProjVector:
 def canonicalize(v: Sequence[int]) -> ProjVector:
     """Canonical representative of the class of v, up to sign.
 
-    Rejects the zero vector and non-primitive vectors (an imprimitive
-    vector signals an invalid vertex; it is never rescaled silently).
+    Only flips the sign: `ProjVector` rejects the zero vector, vectors of
+    length < 2 and non-primitive vectors, which are never rescaled.
     """
     c = tuple(v)
-    if not c or all(e == 0 for e in c):
-        raise ValueError("zero vector is not a vertex")
-    first = next(e for e in c if e != 0)
-    if first < 0:
+    if next(filter(None, c), 0) < 0:
         c = tuple(-e for e in c)
     return ProjVector(c)
 
@@ -158,26 +154,33 @@ def intersection_components(a: ProjVector, b: ProjVector) -> int:
     `_coprime_minor_pairs`.
     """
     _require_distinct_3(a, b)
-    return gcd(*cross_product(a.coords, b.coords))
+    with _building():
+        return gcd(*cross_product(a.coords, b.coords))
+
+
+def _vertex_length(vs: Sequence[ProjVector]) -> int:
+    if len(set(map(len, vs))) > 1:
+        raise ValueError(f"all vertices must have length {len(vs[0])}")
+    return len(vs[0]) if vs else 0
 
 
 def finegold_minors(vs: Sequence[ProjVector]) -> int | list[int]:
     """The minor gcds behind `is_finegold_simplex`, with n = len(vs[0]):
     for k+1 <= n vertices, the gcd of the (k+1)x(k+1) minors of the
     n x (k+1) matrix of representatives; for n+1 vertices, the list of the
-    n x n minor gcds of the facets, omitting vertex 0, 1, ..., n in turn."""
+    n x n minor gcds of the facets, omitting vertex 0, 1, ..., n in turn.
+    After the input checks, a ValueError is an internal fault (RuntimeError)."""
     vs = list(vs)
-    n = len(vs[0]) if vs else 0
-    if any(len(v) != n for v in vs):
-        raise ValueError(f"all vertices must have length {n}")
+    n = _vertex_length(vs)
     if not 2 <= len(vs) <= n + 1:
         raise ValueError(f"simplex size {len(vs)} out of range for dimension {n}")
     if len(set(vs)) != len(vs):
         raise ValueError("repeated projective class")
     cols = [v.coords for v in vs]
-    if len(vs) <= n:
-        return minors_gcd(IntMatrix.from_columns(cols), len(vs))
-    return [minors_gcd(IntMatrix.from_columns(cols[:j] + cols[j + 1:]), n) for j in range(len(cols))]
+    with _building():
+        if len(vs) <= n:
+            return minors_gcd(IntMatrix.from_columns(cols), len(vs))
+        return [minors_gcd(IntMatrix.from_columns(cols[:j] + cols[j + 1:]), n) for j in range(len(cols))]
 
 
 def is_finegold_simplex(vs: Sequence[ProjVector]) -> bool:
@@ -335,13 +338,30 @@ def connect_path(a: ProjVector, b: ProjVector) -> PathCertificate:
         return PathCertificate(waypoints=(a, b), witnesses=(witness,), transform=_IDENTITY_3)
 
 
+GRAPH_KINDS = ("finegold-skeleton", "surface-complex-s1")
+# build_graph refuses a truncation with more candidate vectors (2h+1)^n:
+# n = 3 up to height 7, n = 2 up to height 31.
+MAX_GRAPH_CANDIDATES = 4096
+
+
+def _check_truncation(height: int, n: int = 2, kind: str = GRAPH_KINDS[0]) -> None:
+    # The one truncation check; with the defaults, its n and height parts.
+    if kind not in GRAPH_KINDS:
+        raise ValueError(f"unknown graph kind {kind!r}")
+    if kind == "surface-complex-s1" and n != 3:
+        raise ValueError("surface-complex-s1 requires dimension 3")
+    if n < 2:
+        raise ValueError("dimension must be >= 2")
+    if not isinstance(height, int):
+        raise TypeError(f"height must be an integer, got {height!r}")
+    if height < 1:
+        raise ValueError("height must be >= 1")
+
+
 def enumerate_vertices(n: int, height: int) -> list[ProjVector]:
     """All canonical classes of length n with max-norm <= height, in
     lexicographic order."""
-    if n < 2:
-        raise ValueError("dimension must be >= 2")
-    if height < 1:
-        raise ValueError("height must be >= 1")
+    _check_truncation(height, n)
     out = []
     rng = range(-height, height + 1)
     # product over an ascending range is already lexicographic.
@@ -355,12 +375,6 @@ def enumerate_vertices(n: int, height: int) -> list[ProjVector]:
     return out
 
 
-GRAPH_KINDS = ("finegold-skeleton", "surface-complex-s1")
-# build_graph refuses a truncation with more candidate vectors (2h+1)^n:
-# n = 3 up to height 7, n = 2 up to height 31.
-MAX_GRAPH_CANDIDATES = 4096
-
-
 _BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
 
 
@@ -372,10 +386,11 @@ def _members(bits: int, idx: Sequence[int]) -> list[int]:
 
 @dataclass(frozen=True)
 class ComplexGraph:
-    """A height-truncated 1-skeleton: distinct vertices of one length (in
+    """A height-truncated 1-skeleton: distinct vertices of one length n (in
     lexicographic order from `build_graph`), edges as strictly increasing
-    index pairs (i, j) with i < j.  The vertex index and the adjacency
-    bitsets are derived on first use and kept; `build_graph` seeds them."""
+    index pairs (i, j) with i < j; kind, n and height as `build_graph`
+    accepts them.  The vertex index and the adjacency bitsets are derived
+    on first use and kept; `build_graph` seeds them."""
 
     kind: str
     height: int
@@ -383,13 +398,8 @@ class ComplexGraph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        if self.kind not in GRAPH_KINDS:
-            raise ValueError(f"unknown graph kind {self.kind!r}")
-        if self.height < 1:
-            raise ValueError("height must be >= 1")
         vs, es = self.vertices, self.edges
-        if len(set(map(len, vs))) > 1:
-            raise ValueError(f"all vertices must have length {len(vs[0])}")
+        _check_truncation(self.height, _vertex_length(vs), self.kind)
         for v in vs:
             if max(abs(e) for e in v.coords) > self.height:
                 raise ValueError(f"vertex ({v.label}) exceeds height {self.height}")
@@ -439,29 +449,25 @@ def build_graph(kind: str, height: int, n: int = 3) -> ComplexGraph:
     for n == 3 only.  Both kinds and every n take one path: adjacency
     bitsets by residue classes (exactlin's `_coprime_minor_pairs`), edges
     read off them, and the bitsets kept as the graph's `adjacency`.  The
-    edge list is sorted and independent of evaluation order.  More than
-    MAX_GRAPH_CANDIDATES (4096) candidate vectors (2*height+1)**n raise
-    ValueError before any enumeration; a graph that then fails its own
-    checks is an internal fault and raises RuntimeError.
+    edge list is sorted and independent of evaluation order.  Any other
+    kind, n < 2, a height not an integer >= 1, or over MAX_GRAPH_CANDIDATES
+    (4096) candidate vectors (2*height+1)**n raise before any enumeration;
+    then a ValueError is an internal fault and raises RuntimeError.
     """
-    if kind not in GRAPH_KINDS:
-        raise ValueError(f"unknown graph kind {kind!r}")
-    if kind == "surface-complex-s1" and n != 3:
-        raise ValueError("surface-complex-s1 requires dimension 3")
-    # Checked before enumerating; with height >= 1, (2h+1)^n >= 2^n.
-    if height >= 1 and (n >= MAX_GRAPH_CANDIDATES.bit_length()
-                        or (2 * height + 1) ** n > MAX_GRAPH_CANDIDATES):
+    _check_truncation(height, n, kind)
+    # With n >= 2 and height >= 1, (2h+1)^n >= 2^n.
+    if n >= MAX_GRAPH_CANDIDATES.bit_length() or (2 * height + 1) ** n > MAX_GRAPH_CANDIDATES:
         raise ValueError(f"truncation too large: (2*{height}+1)^{n} candidate vectors, "
                          f"over the limit of {MAX_GRAPH_CANDIDATES}")
-    vertices = tuple(enumerate_vertices(n, height))
-    adj = _coprime_minor_pairs([v.coords for v in vertices], height)
-    # Row i's bits above i, read off against one index list, so the edge
-    # tuples share its ints.  A list first: a tuple grown from an iterator
-    # is resized, and the garbage collector rescans it.
-    idx = list(range(len(vertices)))
-    edges = tuple([e for i, row in zip(idx, adj)
-                   for e in zip(repeat(i), _members(row >> i + 1 << i + 1, idx))])
     with _building():
+        vertices = tuple(enumerate_vertices(n, height))
+        adj = _coprime_minor_pairs([v.coords for v in vertices], height)
+        # Row i's bits above i, read off against one index list, so the edge
+        # tuples share its ints.  A list first: a tuple grown from an iterator
+        # is resized, and the garbage collector rescans it.
+        idx = list(range(len(vertices)))
+        edges = tuple([e for i, row in zip(idx, adj)
+                       for e in zip(repeat(i), _members(row >> i + 1 << i + 1, idx))])
         g = ComplexGraph(kind=kind, height=height, vertices=vertices, edges=edges)
     object.__setattr__(g, "adjacency", adj)
     return g
@@ -488,8 +494,9 @@ def bfs_distance(g: ComplexGraph, a: ProjVector, b: ProjVector) -> int | None:
     never an exact claim about it.
     """
     ia, ib = g.index_of(a), g.index_of(b)
-    layers = _bfs_layers(g.adjacency, ia)
-    return next((dist for dist, layer in enumerate(layers) if layer >> ib & 1), None)
+    with _building():
+        layers = _bfs_layers(g.adjacency, ia)
+        return next((dist for dist, layer in enumerate(layers) if layer >> ib & 1), None)
 
 
 def truncation_diameter(g: ComplexGraph) -> tuple[int | None, tuple[ProjVector, ProjVector] | None]:
@@ -499,27 +506,28 @@ def truncation_diameter(g: ComplexGraph) -> tuple[int | None, tuple[ProjVector, 
     truncation.  Deterministic: the lexicographically first realizing pair
     is reported.
     """
-    adj, vs = g.adjacency, g.vertices
-    idx = range(len(vs))
-    best = 0
-    pair: tuple[ProjVector, ProjVector] | None = None
-    for i, near in enumerate(adj):
-        later = (1 << len(vs)) - (2 << i)
-        far = later & ~near
-        # Distance 2 through a common neighbor; a full BFS from i only when
-        # some later vertex has none.
-        if all(near & adj[j] for j in _members(far, idx)):
-            layers = [near & later, far]
-        else:
-            layers = [layer & later for layer in _bfs_layers(adj, i)][1:]
-            missed = later & ~sum(layers)
-            if missed:
-                return None, (vs[i], vs[_members(missed, idx)[0]])
-        for dist in range(len(layers), best, -1):
-            if layers[dist - 1]:
-                best, pair = dist, (vs[i], vs[_members(layers[dist - 1], idx)[0]])
-                break
-    return best, pair
+    with _building():
+        adj, vs = g.adjacency, g.vertices
+        idx = range(len(vs))
+        best = 0
+        pair: tuple[ProjVector, ProjVector] | None = None
+        for i, near in enumerate(adj):
+            later = (1 << len(vs)) - (2 << i)
+            far = later & ~near
+            # Distance 2 through a common neighbor; a full BFS from i only
+            # when some later vertex has none.
+            if all(near & adj[j] for j in _members(far, idx)):
+                layers = [near & later, far]
+            else:
+                layers = [layer & later for layer in _bfs_layers(adj, i)][1:]
+                missed = later & ~sum(layers)
+                if missed:
+                    return None, (vs[i], vs[_members(missed, idx)[0]])
+            for dist in range(len(layers), best, -1):
+                if layers[dist - 1]:
+                    best, pair = dist, (vs[i], vs[_members(layers[dist - 1], idx)[0]])
+                    break
+        return best, pair
 
 
 def farey_neighbors(v: ProjVector, height: int) -> list[ProjVector]:
@@ -528,23 +536,25 @@ def farey_neighbors(v: ProjVector, height: int) -> list[ProjVector]:
     For v = (p, q), these are the canonical (r, s) with max-norm <= height
     and |p*s - q*r| == 1: classes of curves on the 2-torus meeting a curve
     of slope v exactly once.  A walk over more than MAX_GRAPH_CANDIDATES
-    points of their line raises ValueError before any vector is built.
+    points of their line raises ValueError before any vector is built; any
+    other ValueError is an internal fault and raises RuntimeError.
     """
     if len(v) != 2:
         raise ValueError("farey vertices have length 2")
-    if height < 1:
-        raise ValueError("height must be >= 1")
+    _check_truncation(height)
     p, q = v.coords
     # Each neighbor class has one representative (r0, s0) + t*(p, q) with
     # p*s - q*r == 1.  Clip t by the larger of |p| and |q|, check the other.
-    _, s0, r0 = xgcd(p, -q)
-    c0, step = (r0, p) if p >= abs(q) else (s0, q) if q > 0 else (-s0, -q)
-    ts = range(-((height + c0) // step), (height - c0) // step + 1)
+    with _building():
+        _, s0, r0 = xgcd(p, -q)
+        c0, step = (r0, p) if p >= abs(q) else (s0, q) if q > 0 else (-s0, -q)
+        ts = range(-((height + c0) // step), (height - c0) // step + 1)
     if ts.stop - ts.start > MAX_GRAPH_CANDIDATES:
         raise ValueError(f"truncation too large: {ts.stop - ts.start} candidate neighbors, "
                          f"over the limit of {MAX_GRAPH_CANDIDATES}")
-    line = [(r0 + t * p, s0 + t * q) for t in ts]
-    return sorted(canonicalize(u) for u in line if abs(u[0]) <= height and abs(u[1]) <= height)
+    with _building():
+        line = [(r0 + t * p, s0 + t * q) for t in ts]
+        return sorted(canonicalize(u) for u in line if abs(u[0]) <= height and abs(u[1]) <= height)
 
 
 def graph_to_json_dict(g: ComplexGraph) -> dict:

@@ -293,6 +293,8 @@ def test_seifert_info_rejects_bad_fiber(capsys):
     assert "coprime" in err
     code, _, err = run(capsys, "seifert", "info", "--genus", "0", "--b", "0", "--fiber", "x")
     assert code == 2
+    code, out, err = run(capsys, "seifert", "info", "--genus", "0", "--b", "0", "--fiber", "2:x")
+    assert (code, out, err) == (2, "", "error: malformed fiber '2:x': expected integers\n")
 
 
 def test_seifert_info_text(capsys):
@@ -386,6 +388,30 @@ def test_broken_seifert_report_is_an_internal_error(capsys, monkeypatch):
     monkeypatch.setattr(seifert, "invariant_factors", fault)
     code, out, err = run(capsys, "seifert", "info", "--genus", "0", "--b", "-1",
                          "--fiber", "2:1", "--fiber", "2:1")
+    assert (code, out, err) == (1, "", "internal error: construction failed: injected fault\n")
+
+
+@pytest.mark.parametrize("module, name, argv", [
+    (exactlin, "_snf_core", ("torus", "simplex", "1,0,0", "0,1,0")),
+    (toruscomplex, "cross_product", ("torus", "simplex", "1,0,0", "0,1,0", "--complex", "surface")),
+    (toruscomplex, "_coprime_minor_pairs", ("torus", "graph", "--height", "1")),
+    (toruscomplex, "_bfs_layers", ("torus", "distance", "1,0,0", "0,1,0", "--height", "1")),
+    (toruscomplex, "_members", ("torus", "diameter", "--height", "1")),
+    (toruscomplex, "xgcd", ("farey", "neighbors", "1,0", "--height", "3")),
+    (toruscomplex, "graph_to_dot", ("torus", "graph", "--height", "1", "--format", "dot")),
+    (toruscomplex, "_witness_column", ("torus", "path", "2,3,5", "0,0,1")),
+    (seifert, "invariant_factors", ("seifert", "info", "--genus", "0", "--b", "-1",
+                                    "--fiber", "2:1", "--fiber", "2:1")),
+], ids=["simplex", "simplex-surface", "graph", "distance", "diameter", "farey", "graph-dot",
+        "path", "seifert"])
+def test_internal_fault_exits_1_in_every_subcommand(capsys, monkeypatch, module, name, argv):
+    """A ValueError from inside the work, after the inputs are accepted, is
+    an internal fault: exit 1, never exit 2 as if the input were invalid."""
+    def fault(*args):
+        raise ValueError("injected fault")
+
+    monkeypatch.setattr(module, name, fault)
+    code, out, err = run(capsys, *argv)
     assert (code, out, err) == (1, "", "internal error: construction failed: injected fault\n")
 
 

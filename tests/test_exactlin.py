@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from surfcomplex import exactlin
 from surfcomplex.exactlin import (
     IntMatrix,
     complete_to_unimodular,
@@ -337,11 +338,20 @@ def test_complete_to_unimodular_examples():
     assert complete_to_unimodular((1, 0, 0)) == IntMatrix.identity(3)
 
 
-def test_complete_to_unimodular_rejects_imprimitive():
+def test_complete_to_unimodular_rejects_imprimitive(monkeypatch):
     with pytest.raises(ValueError):
         complete_to_unimodular((2, 4, 6))
     with pytest.raises(ValueError):
         complete_to_unimodular((0, 0, 0))
+    with pytest.raises(ValueError):
+        complete_to_unimodular(())
+    with pytest.raises(TypeError, match="non-integer entry 1.5"):
+        complete_to_unimodular((1.5, 1))
+    with pytest.raises(ValueError, match="no determinant-1 completion"):
+        complete_to_unimodular((-1,))
+    monkeypatch.setattr(exactlin, "det", lambda A: -1)
+    with pytest.raises(RuntimeError, match="unimodular completion failed verification"):
+        complete_to_unimodular((2, 3, 5))
 
 
 def test_complete_to_unimodular_exhaustive_height_10():
@@ -376,6 +386,8 @@ def test_int_matrix_validation():
         IntMatrix(((1, 2), (3,)))
     with pytest.raises(TypeError):
         IntMatrix(((1.5, 2),))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        IntMatrix(((1, 2),)) @ IntMatrix(((1, 2),))
 
 
 def test_int_matrix_ops():

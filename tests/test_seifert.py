@@ -97,6 +97,10 @@ def test_invariants_validation():
         SFS(0, 0, ((0, 1),))
     with pytest.raises(ValueError):
         SFS(0, 0, ((-2, 1),))
+    with pytest.raises(ValueError, match="b must be an integer"):
+        SFS(0, 1.5)
+    with pytest.raises(ValueError, match="fiber must be an integer pair"):
+        SFS(0, 0, ((2,),))
 
 
 def test_normalize_examples():

@@ -22,6 +22,7 @@ from surfcomplex.toruscomplex import (
     build_graph,
     canonicalize,
     connect_path,
+    cross_product,
     edge_witness,
     enumerate_vertices,
     farey_neighbors,
@@ -70,6 +71,9 @@ def test_canonicalize_examples():
         canonicalize((0, 0, 0))
     with pytest.raises(ValueError):
         canonicalize((3,))
+    for c in ((), (0,)):
+        with pytest.raises(ValueError, match="vertex vectors need length >= 2"):
+            canonicalize(c)
 
 
 def test_canonicalize_idempotent_and_sign_invariant_exhaustive():
@@ -87,6 +91,10 @@ def test_projvector_rejects_noncanonical():
         ProjVector((-1, 0, 0))
     with pytest.raises(ValueError):
         ProjVector((2, 4, 0))
+    with pytest.raises(TypeError, match="non-integer coordinate"):
+        ProjVector((1.0, 2))
+    with pytest.raises(ValueError, match="zero vector is not a vertex"):
+        ProjVector((0, 0))
 
 
 # ----------------------------------------------------------------- edges
@@ -108,6 +116,8 @@ def test_intersection_components_examples():
     assert intersection_components(V(1, 1, 1), V(1, 2, 0)) == 1
     with pytest.raises(ValueError):
         intersection_components(V(1, 1, 1), V(1, 1, 1))
+    with pytest.raises(ValueError, match="cross product needs length-3 vectors"):
+        cross_product((1, 2), (3, 4, 5))
 
 
 def test_edge_predicates_agree_exhaustive_height_3():
@@ -586,6 +596,45 @@ def test_complex_graph_validation():
         ComplexGraph("bogus", 1, (V(1, 0, 0),), ())
     with pytest.raises(ValueError, match="all vertices must have length 2"):
         ComplexGraph("finegold-skeleton", 1, (V(1, 0), V(1, 0, 0)), ())
+    with pytest.raises(ValueError, match="height must be >= 1"):
+        ComplexGraph("surface-complex-s1", 0, (V(1, 0, 0),), ())
+
+
+def test_complex_graph_obeys_build_graph_rules():
+    """A hand-built graph passes the same truncation check as build_graph:
+    the same refusals, in the same words, on every kind, length and height."""
+    unit = lambda n, i: ProjVector(tuple(int(j == i) for j in range(n)))
+    for kind in ("finegold-skeleton", "surface-complex-s1", "bogus"):
+        for n in (2, 3, 4):
+            for height in (0, -1, 1, 1.5, 2.0):
+                vs = (unit(n, 0), unit(n, 1))
+                outcomes = []
+                for make in (lambda: build_graph(kind, height, n),
+                             lambda: ComplexGraph(kind, height, vs, ((0, 1),))):
+                    try:
+                        make()
+                        outcomes.append(None)
+                    except (TypeError, ValueError) as exc:
+                        outcomes.append((type(exc), str(exc)))
+                assert outcomes[0] == outcomes[1], (kind, n, height)
+    with pytest.raises(ValueError, match="dimension must be >= 2"):
+        ComplexGraph("finegold-skeleton", 1, (), ())
+
+
+def test_complex_graph_surface_kind_requires_dimension_3():
+    with pytest.raises(ValueError, match="^surface-complex-s1 requires dimension 3$"):
+        ComplexGraph("surface-complex-s1", 1, (V(1, 0), V(0, 1)), ((0, 1),))
+
+
+def test_complex_graph_height_must_be_an_integer():
+    """As for build_graph, enumerate_vertices and farey_neighbors."""
+    for height in (1.5, 2.0):
+        with pytest.raises(TypeError, match="height must be an integer"):
+            ComplexGraph("finegold-skeleton", height, (V(1, 0), V(0, 1)), ((0, 1),))
+        for call in (lambda: build_graph("finegold-skeleton", height, 2),
+                     lambda: enumerate_vertices(2, height), lambda: farey_neighbors(V(1, 0), height)):
+            with pytest.raises(TypeError, match="height must be an integer"):
+                call()
 
 
 def test_complex_graph_rejects_repeated_or_unsorted_edges():
