@@ -109,8 +109,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _height(ns: argparse.Namespace) -> int:
-    if ns.height < 1:
-        raise ValueError("height must be >= 1")
+    toruscomplex._check_truncation(ns.height)
     return ns.height
 
 
@@ -210,14 +209,12 @@ def _run_seifert_info(ns: argparse.Namespace) -> _Renderings:
 def main(argv: list[str] | None = None) -> int:
     # Exact at any magnitude: lift Python's int/str digit limit while
     # parsing and printing, and restore it for in-process callers.
-    saved = getattr(sys, "get_int_max_str_digits", lambda: None)()
-    if saved is not None:
-        sys.set_int_max_str_digits(0)
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         return _run(argv)
     finally:
-        if saved is not None:
-            sys.set_int_max_str_digits(saved)
+        sys.set_int_max_str_digits(saved)
 
 
 def _run(argv: list[str] | None) -> int:

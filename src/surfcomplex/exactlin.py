@@ -53,7 +53,7 @@ def _check_rows(rows: Sequence[Sequence[int]]) -> None:
         if len(row) != len(rows[0]):
             raise ValueError("ragged rows")
         for e in row:
-            if not isinstance(e, int):
+            if type(e) is not int:
                 raise TypeError(f"non-integer entry {e!r}")
 
 

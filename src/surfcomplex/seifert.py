@@ -56,12 +56,12 @@ class SeifertInvariants:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "fibers", tuple(tuple(f) for f in self.fibers))
-        if not isinstance(self.genus, int) or self.genus < 0:
+        if type(self.genus) is not int or self.genus < 0:
             raise ValueError(f"genus must be a nonnegative integer, got {self.genus!r}")
-        if not isinstance(self.b, int):
+        if type(self.b) is not int:
             raise ValueError(f"b must be an integer, got {self.b!r}")
         for f in self.fibers:
-            if len(f) != 2 or not all(isinstance(e, int) for e in f):
+            if len(f) != 2 or not all(type(e) is int for e in f):
                 raise ValueError(f"fiber must be an integer pair, got {f!r}")
             alpha, beta = f
             if alpha <= 0:
@@ -120,8 +120,20 @@ class PresentationData:
     relators: tuple[tuple[int, ...], ...]
 
 
+# pi1_presentation refuses a presentation of more letters (about 15 MB).
+_MAX_PRESENTATION_LETTERS = 10**6
+
+
 def pi1_presentation(inv: SeifertInvariants) -> PresentationData:
+    """The standard presentation, stored letter by letter: |b| + 12*genus +
+    5*k + the sum of alpha + |beta| letters over the k fibers.  A tuple of
+    more than 10**6 letters raises ValueError, counted before anything is
+    built."""
     g, k = inv.genus, len(inv.fibers)
+    letters = abs(inv.b) + 12 * g + 5 * k + sum(alpha + abs(beta) for alpha, beta in inv.fibers)
+    if letters > _MAX_PRESENTATION_LETTERS:
+        raise ValueError(f"presentation too large: {letters} letters, "
+                         f"over the limit of {_MAX_PRESENTATION_LETTERS}")
     names: list[str] = []
     for i in range(1, g + 1):
         names += [f"a{i}", f"b{i}"]

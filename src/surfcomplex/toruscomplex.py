@@ -49,7 +49,6 @@ __all__ = [
     "cross_product",
     "finegold_minors",
     "is_finegold_simplex",
-    "s1_edge",
     "intersection_components",
     "edge_witness",
     "two_hop_path",
@@ -80,7 +79,7 @@ class ProjVector:
         if len(c) < 2:
             raise ValueError("vertex vectors need length >= 2")
         for e in c:
-            if not isinstance(e, int):
+            if type(e) is not int:
                 raise TypeError(f"non-integer coordinate {e!r}")
         g = content(c)
         if g == 0:
@@ -126,36 +125,28 @@ def cross_product(a: Sequence[int], b: Sequence[int]) -> tuple[int, int, int]:
     )
 
 
-def _require_distinct_3(a: ProjVector, b: ProjVector) -> None:
+def _pair(a: ProjVector, b: ProjVector) -> tuple[tuple[int, int, int], int]:
+    # The one input check of a pair (length 3, distinct classes), then its
+    # cross product a x b and that product's content, the component count.
     if len(a) != 3 or len(b) != 3:
         raise ValueError("expected length-3 vertices")
     if a == b:
         raise ValueError("vertices must be distinct projective classes")
-
-
-def s1_edge(a: ProjVector, b: ProjVector) -> bool:
-    """Edge test for the surface-complex graph of the 3-torus.
-
-    True when the tori representing a and b can be isotoped to meet in a
-    single component: the gcd of the 2x2 minors of (a b) equals 1.
-    Distinct classes are required; distinct essential tori in the 3-torus
-    always meet, so a self-edge is meaningless.
-    """
-    return intersection_components(a, b) == 1
+    with _building():
+        c = cross_product(a.coords, b.coords)
+        return c, gcd(*c)
 
 
 def intersection_components(a: ProjVector, b: ProjVector) -> int:
     """Minimal number of intersection components of the two flat tori.
 
     Computed as the content of the cross product, the gcd of the 2x2
-    minors of (a b); always >= 1 for distinct classes, and equal to 1
-    exactly when `s1_edge` holds.  The one pairwise edge predicate:
-    `build_graph` gets the same edges, at every n, from exactlin's
-    `_coprime_minor_pairs`.
+    minors of (a b); always >= 1 for distinct classes.  The one edge
+    predicate: (a, b) is an edge of the surface-complex graph of T^3, its
+    tori meeting in a single curve, exactly when it is 1.  `build_graph`
+    gets the same edges, at every n, from exactlin's `_coprime_minor_pairs`.
     """
-    _require_distinct_3(a, b)
-    with _building():
-        return gcd(*cross_product(a.coords, b.coords))
+    return _pair(a, b)[1]
 
 
 def _vertex_length(vs: Sequence[ProjVector]) -> int:
@@ -237,12 +228,12 @@ def edge_witness(a: ProjVector, b: ProjVector) -> IntMatrix:
     vector w0 of a x b with its coordinates along a and b rounded away, so
     w does not depend on w0 and its Euclidean norm is at most
     (|a| + |b|)/2 + 1.  It is the witness of the one-hop `connect_path`
-    certificate, checked there; a pair that is not an edge raises ValueError.
+    certificate, checked there; a non-edge raises ValueError before any build.
     """
-    cert = connect_path(a, b)
-    if cert.num_edges != 1:
-        raise ValueError(f"not an edge: pair meets in {intersection_components(a, b)} components")
-    return cert.witnesses[0]
+    c, g = _pair(a, b)
+    if g != 1:
+        raise ValueError(f"not an edge: pair meets in {g} components")
+    return _one_hop(a, b, c).witnesses[0]
 
 
 @dataclass(frozen=True)
@@ -304,20 +295,7 @@ def two_hop_path(a: ProjVector, b: ProjVector) -> PathCertificate:
     (m x b, b x w, w x m), sends b to (0,0,1) and m to (0,1,0), in the
     plane z == 0.
     """
-    _require_distinct_3(a, b)
-    x, y = a.coords, b.coords
-    with _building():
-        mid = canonicalize(_witness_column(cross_product(y, x), x, y))
-        m = mid.coords
-        c = cross_product(m, y)
-        v, w = _witness_column(cross_product(x, m), x, m), _witness_column(c, m, y)
-        witnesses = (IntMatrix(tuple(zip(x, m, v))), IntMatrix(tuple(zip(m, y, w))))
-        t = IntMatrix((c, cross_product(y, w), cross_product(w, m)))
-        return PathCertificate(waypoints=(a, mid, b), witnesses=witnesses, transform=t)
-
-
-# The transform of every one-hop certificate, shared: IntMatrix is frozen.
-_IDENTITY_3 = IntMatrix.identity(3)
+    return _two_hop(a, b, _pair(a, b)[0])
 
 
 def connect_path(a: ProjVector, b: ProjVector) -> PathCertificate:
@@ -328,14 +306,33 @@ def connect_path(a: ProjVector, b: ProjVector) -> PathCertificate:
     (determinant exactly 1) as it is constructed; a failure there is an
     internal fault and raises RuntimeError.
     """
-    _require_distinct_3(a, b)
+    c, g = _pair(a, b)
+    return (_one_hop if g == 1 else _two_hop)(a, b, c)
+
+
+# The transform of every one-hop certificate, shared: IntMatrix is frozen.
+_IDENTITY_3 = IntMatrix.identity(3)
+
+
+def _one_hop(a: ProjVector, b: ProjVector, c: tuple[int, int, int]) -> PathCertificate:
+    # The certificate of the edge (a, b), from c = a x b of its `_pair`.
     x, y = a.coords, b.coords
-    c = cross_product(x, y)
-    if gcd(*c) != 1:
-        return two_hop_path(a, b)
     with _building():
         witness = IntMatrix(tuple(zip(x, y, _witness_column(c, x, y))))
         return PathCertificate(waypoints=(a, b), witnesses=(witness,), transform=_IDENTITY_3)
+
+
+def _two_hop(a: ProjVector, b: ProjVector, c: tuple[int, int, int]) -> PathCertificate:
+    # The route of `two_hop_path`; its middle vertex reduces -c = b x a.
+    x, y = a.coords, b.coords
+    with _building():
+        mid = canonicalize(_witness_column((-c[0], -c[1], -c[2]), x, y))
+        m = mid.coords
+        mb = cross_product(m, y)
+        v, w = _witness_column(cross_product(x, m), x, m), _witness_column(mb, m, y)
+        witnesses = (IntMatrix(tuple(zip(x, m, v))), IntMatrix(tuple(zip(m, y, w))))
+        t = IntMatrix((mb, cross_product(y, w), cross_product(w, m)))
+        return PathCertificate(waypoints=(a, mid, b), witnesses=witnesses, transform=t)
 
 
 GRAPH_KINDS = ("finegold-skeleton", "surface-complex-s1")
@@ -348,11 +345,13 @@ def _check_truncation(height: int, n: int = 2, kind: str = GRAPH_KINDS[0]) -> No
     # The one truncation check; with the defaults, its n and height parts.
     if kind not in GRAPH_KINDS:
         raise ValueError(f"unknown graph kind {kind!r}")
+    if type(n) is not int:
+        raise TypeError(f"dimension must be an integer, got {n!r}")
     if kind == "surface-complex-s1" and n != 3:
         raise ValueError("surface-complex-s1 requires dimension 3")
     if n < 2:
         raise ValueError("dimension must be >= 2")
-    if not isinstance(height, int):
+    if type(height) is not int:
         raise TypeError(f"height must be an integer, got {height!r}")
     if height < 1:
         raise ValueError("height must be >= 1")

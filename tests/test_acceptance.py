@@ -27,7 +27,6 @@ from surfcomplex.toruscomplex import (
     enumerate_vertices,
     intersection_components,
     is_finegold_simplex,
-    s1_edge,
 )
 
 V = lambda *coords: canonicalize(coords)
@@ -60,7 +59,7 @@ def _random_primitive_vector(rng, bound):
 def _verify_certificate(cert):
     assert cert.num_edges <= 2
     for u, w in zip(cert.waypoints, cert.waypoints[1:]):
-        assert s1_edge(u, w)
+        assert intersection_components(u, w) == 1
     for witness in cert.witnesses:
         assert det(witness) == 1
 
@@ -92,7 +91,7 @@ def test_criterion_2_flag_triangle_counterexample():
     with _report(2, "triangle in the flag complex but not in the torus complex"):
         triple = [V(1, 0, 0), V(0, 1, 0), V(1, 1, 2)]
         for a, b in combinations(triple, 2):
-            assert s1_edge(a, b)
+            assert intersection_components(a, b) == 1
         assert not is_finegold_simplex(triple)
         m = IntMatrix.from_columns([v.coords for v in triple])
         assert det(m) in (2, -2)
@@ -104,7 +103,7 @@ def test_criterion_3_six_simplex():
         vs = [canonicalize(c) for c in vectors]
         checked = 0
         for a, b in combinations(vs, 2):
-            assert s1_edge(a, b)
+            assert intersection_components(a, b) == 1
             checked += 1
         assert checked == 21
         # The classical eight-vector list also contains (1,0,0); that vector
@@ -119,7 +118,7 @@ def test_criterion_4_local_infiniteness_proxy():
         degrees = []
         for h in range(1, 11):
             vs = enumerate_vertices(3, h)
-            degrees.append(sum(1 for u in vs if u != target and s1_edge(u, target)))
+            degrees.append(sum(1 for u in vs if u != target and intersection_components(u, target) == 1))
         assert all(x <= y for x, y in zip(degrees, degrees[1:]))
         assert degrees[-1] >= 50
         # frozen observed counts

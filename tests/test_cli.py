@@ -209,15 +209,13 @@ def test_torus_simplex_dimension_20_is_fast(capsys):
 
 @contextlib.contextmanager
 def unlimited_int_digits():
-    """Lift Python's int/str digit limit (3.11+) to read huge JSON ints."""
-    saved = getattr(sys, "get_int_max_str_digits", lambda: None)()
-    if saved is not None:
-        sys.set_int_max_str_digits(0)
+    """Lift Python's int/str digit limit to read huge JSON ints."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         yield
     finally:
-        if saved is not None:
-            sys.set_int_max_str_digits(saved)
+        sys.set_int_max_str_digits(saved)
 
 
 def det3(m):
@@ -250,7 +248,6 @@ def test_5000_digit_coordinate_parses(capsys):
     assert d["minors_gcd"] == 1
 
 
-@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int/str digit limit")
 def test_main_restores_the_digit_limit(capsys):
     saved = sys.get_int_max_str_digits()
     try:

@@ -297,7 +297,7 @@ def test_invariant_factors_rejects_ragged_rows():
 
 
 def test_invariant_factors_rejects_non_integer_entries():
-    for rows in ([[2.0, 4]], [[2, 4], [6, 8.5]]):
+    for rows in ([[2.0, 4]], [[2, 4], [6, 8.5]], [[True, 0], [0, 2]]):
         with pytest.raises(TypeError, match="non-integer entry"):
             invariant_factors(rows)
 

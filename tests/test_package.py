@@ -1,4 +1,9 @@
-"""The package namespace: every module's public names, re-exported."""
+"""The package namespace: every module's public names, re-exported; the
+Python floor."""
+
+import re
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,3 +16,18 @@ def test_package_reexports_each_modules_all(module):
     assert module.__all__
     for name in module.__all__:
         assert getattr(surfcomplex, name) is getattr(module, name), name
+
+
+def test_ci_matrix_meets_the_python_floor():
+    """Each CI job runs the newest release of its minor version, so every
+    version in the matrix must reach the floor's minor version, and the
+    interpreter running the suite the floor itself."""
+    yaml = pytest.importorskip("yaml")
+    root = Path(__file__).resolve().parent.parent
+    pyproject = (root / "pyproject.toml").read_text()
+    floor = tuple(map(int, re.search(r'^requires-python = ">=([\d.]+)"$', pyproject, re.M)[1].split(".")))
+    assert floor == (3, 10, 7)
+    assert sys.version_info[:3] >= floor
+    workflow = yaml.safe_load((root / ".github" / "workflows" / "tests.yml").read_text())
+    versions = workflow["jobs"]["test"]["strategy"]["matrix"]["python-version"]
+    assert versions and all(tuple(map(int, v.split("."))) >= floor[:2] for v in versions)

@@ -8,6 +8,7 @@ transversal circle.
 """
 
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -101,6 +102,12 @@ def test_invariants_validation():
         SFS(0, 1.5)
     with pytest.raises(ValueError, match="fiber must be an integer pair"):
         SFS(0, 0, ((2,),))
+    with pytest.raises(ValueError, match="genus must be a nonnegative integer, got True"):
+        SFS(True, False, ((2, True),))
+    with pytest.raises(ValueError, match="b must be an integer, got False"):
+        SFS(0, False)
+    with pytest.raises(ValueError, match=r"fiber must be an integer pair, got \(2, True\)"):
+        SFS(0, 0, ((2, True),))
 
 
 def test_normalize_examples():
@@ -181,6 +188,31 @@ def test_pi1_presentation_words():
     # surface: h^-2 x1 ; fiber: x1^3 h^-2   (generators x1=1, h=2)
     assert pres.relators[0] == (-2, -2, 1)
     assert pres.relators[-1] == (1, 1, 1, -2, -2)
+
+
+def letters(pres):
+    return sum(map(len, pres.relators))
+
+
+def test_pi1_presentation_letter_count():
+    """The count behind the size limit is exact: |b| + 12g + 5k plus
+    alpha + |beta| per fiber."""
+    for inv in (SFS(0, 0), SFS(1, 0), SFS(0, 2, ((3, -2),)), SFS(2, -3, ((2, 1), (5, -2), (7, 3)))):
+        g, k = inv.genus, len(inv.fibers)
+        assert letters(pi1_presentation(inv)) == abs(inv.b) + 12 * g + 5 * k + sum(
+            alpha + abs(beta) for alpha, beta in inv.fibers)
+
+
+def test_pi1_presentation_refuses_large_presentations_up_front():
+    assert letters(pi1_presentation(SFS(0, 0, ((10**6 - 6, 1),)))) == 10**6
+    for inv in (SFS(0, 0, ((10**6 - 5, 1),)), SFS(0, 0, ((10**9, 1),)), SFS(0, 0, ((10**30, 1),)),
+                SFS(10**30, 0)):
+        tracemalloc.start()
+        with pytest.raises(ValueError, match="^presentation too large: .* over the limit of 1000000$"):
+            pi1_presentation(inv)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 100_000
 
 
 # --------------------------------------------------------------- homology

@@ -31,7 +31,6 @@ from surfcomplex.toruscomplex import (
     graph_to_json_dict,
     intersection_components,
     is_finegold_simplex,
-    s1_edge,
     truncation_diameter,
     two_hop_path,
 )
@@ -53,7 +52,7 @@ def check_certificate(cert, a, b):
     assert cert.waypoints[0] == a and cert.waypoints[-1] == b
     assert 1 <= cert.num_edges <= 2
     for u, v in zip(cert.waypoints, cert.waypoints[1:]):
-        assert s1_edge(u, v)
+        assert intersection_components(u, v) == 1
     for w in cert.witnesses:
         assert det(w) == 1
     assert det(cert.transform) == 1
@@ -93,6 +92,8 @@ def test_projvector_rejects_noncanonical():
         ProjVector((2, 4, 0))
     with pytest.raises(TypeError, match="non-integer coordinate"):
         ProjVector((1.0, 2))
+    with pytest.raises(TypeError, match="non-integer coordinate True"):
+        canonicalize((True, False, False))
     with pytest.raises(ValueError, match="zero vector is not a vertex"):
         ProjVector((0, 0))
 
@@ -100,33 +101,26 @@ def test_projvector_rejects_noncanonical():
 # ----------------------------------------------------------------- edges
 
 
-def test_s1_edge_examples():
-    assert s1_edge(V(1, 0, 0), V(0, 1, 0))
-    assert not s1_edge(V(1, 0, 0), V(1, 2, 0))
-    assert s1_edge(V(1, 2, 0), V(0, 0, 1))
-    with pytest.raises(ValueError):
-        s1_edge(V(1, 0, 0), V(1, 0, 0))
-    with pytest.raises(ValueError):
-        s1_edge(V(1, 0, 0), canonicalize((-1, 0, 0)))
-
-
 def test_intersection_components_examples():
     assert intersection_components(V(1, 0, 0), V(0, 1, 0)) == 1
     assert intersection_components(V(1, 0, 0), V(1, 2, 0)) == 2
     assert intersection_components(V(1, 1, 1), V(1, 2, 0)) == 1
+    assert intersection_components(V(1, 2, 0), V(0, 0, 1)) == 1
     with pytest.raises(ValueError):
         intersection_components(V(1, 1, 1), V(1, 1, 1))
+    with pytest.raises(ValueError):
+        intersection_components(V(1, 0, 0), V(1, 0, 0))
+    with pytest.raises(ValueError):
+        intersection_components(V(1, 0, 0), canonicalize((-1, 0, 0)))
     with pytest.raises(ValueError, match="cross product needs length-3 vectors"):
         cross_product((1, 2), (3, 4, 5))
 
 
 def test_edge_predicates_agree_exhaustive_height_3():
-    """s1_edge <=> pair spans a 1-simplex <=> single intersection component."""
+    """Single intersection component <=> pair spans a 1-simplex."""
     vs = enumerate_vertices(3, 3)
     for a, b in combinations(vs, 2):
-        edge = s1_edge(a, b)
-        assert edge == is_finegold_simplex([a, b])
-        assert edge == (intersection_components(a, b) == 1)
+        assert (intersection_components(a, b) == 1) == is_finegold_simplex([a, b])
 
 
 # --------------------------------------------------------------- simplex
@@ -137,7 +131,7 @@ def test_triangle_in_flag_complex_but_not_torus_complex():
     2-simplex: the determinant of the representatives is +-2."""
     triple = [V(1, 0, 0), V(0, 1, 0), V(1, 1, 2)]
     for a, b in combinations(triple, 2):
-        assert s1_edge(a, b)
+        assert intersection_components(a, b) == 1
     assert not is_finegold_simplex(triple)
     m = IntMatrix.from_columns([v.coords for v in triple])
     assert abs(det(m)) == 2
@@ -186,7 +180,7 @@ def test_six_simplex_in_flag_complex():
     gcd is 2, so an eight-vertex list fails the pairwise test."""
     vs = [canonicalize(c) for c in SIX_SIMPLEX]
     for a, b in combinations(vs, 2):
-        assert s1_edge(a, b)
+        assert intersection_components(a, b) == 1
     assert intersection_components(V(1, 0, 0), V(1, 2, 0)) == 2
 
 
@@ -296,6 +290,30 @@ def test_edge_witness_takes_three_cross_products(monkeypatch):
     monkeypatch.setattr(toruscomplex, "cross_product", lambda a, b: calls.append(1) or cross(a, b))
     edge_witness(V(2, 3, 5), V(0, 0, 1))
     assert len(calls) == 3
+
+
+def _counted(monkeypatch, name):
+    # The list that each later call of the module's function `name` appends to.
+    calls = []
+    original = getattr(toruscomplex, name)
+    monkeypatch.setattr(toruscomplex, name, lambda *args: calls.append(args) or original(*args))
+    return calls
+
+
+@pytest.mark.parametrize("path", [connect_path, two_hop_path])
+def test_two_hop_pair_is_crossed_once(monkeypatch, path):
+    # One for the pair (its edge test and middle vertex), four in the route
+    # (m x b, a x m and the transform's last two rows), three in the checks.
+    calls = _counted(monkeypatch, "cross_product")
+    path(V(1, 2, 0), V(1, 0, 0))
+    assert len(calls) == 8
+
+
+def test_edge_witness_refuses_a_non_edge_from_its_count(monkeypatch):
+    crosses, columns = _counted(monkeypatch, "cross_product"), _counted(monkeypatch, "_witness_column")
+    with pytest.raises(ValueError, match="^not an edge: pair meets in 2 components$"):
+        edge_witness(V(1, 2, 0), V(1, 0, 0))
+    assert (len(crosses), len(columns)) == (1, 0)
 
 
 def _with_column(w, j, col):
@@ -456,6 +474,9 @@ def test_build_graph_rejects_bad_input():
         build_graph("surface-complex-s1", 1, n=2)
     with pytest.raises(ValueError):
         build_graph("nonsense", 1)
+    for kind, n in (("surface-complex-s1", 3.0), ("finegold-skeleton", 2.0), ("finegold-skeleton", True)):
+        with pytest.raises(TypeError, match=f"^dimension must be an integer, got {n!r}$"):
+            build_graph(kind, 1, n)
 
 
 def test_build_graph_refuses_large_truncations_up_front(monkeypatch):
@@ -606,7 +627,7 @@ def test_complex_graph_obeys_build_graph_rules():
     unit = lambda n, i: ProjVector(tuple(int(j == i) for j in range(n)))
     for kind in ("finegold-skeleton", "surface-complex-s1", "bogus"):
         for n in (2, 3, 4):
-            for height in (0, -1, 1, 1.5, 2.0):
+            for height in (0, -1, 1, 1.5, 2.0, True):
                 vs = (unit(n, 0), unit(n, 1))
                 outcomes = []
                 for make in (lambda: build_graph(kind, height, n),
@@ -628,7 +649,7 @@ def test_complex_graph_surface_kind_requires_dimension_3():
 
 def test_complex_graph_height_must_be_an_integer():
     """As for build_graph, enumerate_vertices and farey_neighbors."""
-    for height in (1.5, 2.0):
+    for height in (1.5, 2.0, True):
         with pytest.raises(TypeError, match="height must be an integer"):
             ComplexGraph("finegold-skeleton", height, (V(1, 0), V(0, 1)), ((0, 1),))
         for call in (lambda: build_graph("finegold-skeleton", height, 2),
@@ -737,6 +758,6 @@ def test_degree_growth_of_e3():
     degrees = []
     for h in range(1, 6):
         vs = enumerate_vertices(3, h)
-        degrees.append(sum(1 for u in vs if u != target and s1_edge(u, target)))
+        degrees.append(sum(1 for u in vs if u != target and intersection_components(u, target) == 1))
     assert degrees == [12, 40, 112, 216, 440]
     assert all(x <= y for x, y in zip(degrees, degrees[1:]))
