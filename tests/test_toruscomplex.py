@@ -101,17 +101,23 @@ def test_projvector_rejects_noncanonical():
 # ----------------------------------------------------------------- edges
 
 
-def test_intersection_components_examples():
+def test_s1_edge_examples():
+    """The S^1 edge rule: two tori span an edge iff they meet in one circle."""
     assert intersection_components(V(1, 0, 0), V(0, 1, 0)) == 1
-    assert intersection_components(V(1, 0, 0), V(1, 2, 0)) == 2
-    assert intersection_components(V(1, 1, 1), V(1, 2, 0)) == 1
+    assert intersection_components(V(1, 0, 0), V(1, 2, 0)) != 1
     assert intersection_components(V(1, 2, 0), V(0, 0, 1)) == 1
-    with pytest.raises(ValueError):
-        intersection_components(V(1, 1, 1), V(1, 1, 1))
     with pytest.raises(ValueError):
         intersection_components(V(1, 0, 0), V(1, 0, 0))
     with pytest.raises(ValueError):
         intersection_components(V(1, 0, 0), canonicalize((-1, 0, 0)))
+
+
+def test_intersection_components_examples():
+    assert intersection_components(V(1, 0, 0), V(0, 1, 0)) == 1
+    assert intersection_components(V(1, 0, 0), V(1, 2, 0)) == 2
+    assert intersection_components(V(1, 1, 1), V(1, 2, 0)) == 1
+    with pytest.raises(ValueError):
+        intersection_components(V(1, 1, 1), V(1, 1, 1))
     with pytest.raises(ValueError, match="cross product needs length-3 vectors"):
         cross_product((1, 2), (3, 4, 5))
 
