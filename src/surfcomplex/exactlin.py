@@ -193,10 +193,12 @@ def minors_gcd(A: IntMatrix, k: int) -> int:
     integer matrix extends to a unimodular matrix exactly when the gcd of
     its k x k minors is 1.  By the determinantal divisor theorem (Newman,
     Integral Matrices) that gcd is d1 * ... * dk, the first k invariant factors.
+    The one full minor of a square matrix is |det A| instead: Bareiss keeps
+    every intermediate entry a minor of A, while Smith entries can blow up.
     """
     if k < 1 or k > min(A.rows, A.cols):
         raise ValueError(f"minor size {k} out of range for {A.rows}x{A.cols}")
-    return math.prod(invariant_factors(A)[:k])
+    return abs(det(A)) if k == A.rows == A.cols else math.prod(invariant_factors(A)[:k])
 
 
 def _coprime_minor_pairs(vectors: Sequence[tuple[int, ...]], height: int) -> tuple[int, ...]:

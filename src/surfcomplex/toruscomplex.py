@@ -244,9 +244,9 @@ class PathCertificate:
     `witnesses` holds one determinant-1 matrix per edge whose first two
     columns are the canonical representatives of that edge's endpoints;
     `transform` is a determinant-1 change of coordinates: for two hops the
-    one of `two_hop_path`, which sends the end to (0,0,1) and the middle
-    vertex into z == 0, for one hop the identity.  Construction checks the
-    waypoints, every witness and the transform's determinant, and is the
+    one of `two_hop_path`, which sends the middle vertex to (0,1,0) and the
+    end to (0,0,1), for one hop the identity.  Construction checks the
+    waypoints, every witness and that claim on the transform, and is the
     one place where certificates are verified.
     """
 
@@ -267,6 +267,12 @@ class PathCertificate:
             raise ValueError("transform must have determinant 1")
         for u, v, w in zip(self.waypoints, self.waypoints[1:], self.witnesses):
             _check_edge(u, v, w)
+        t, m, b = self.transform.entries, self.waypoints[-2].coords, self.waypoints[-1].coords
+        if len(self.witnesses) == 1:
+            if t != _IDENTITY_3.entries:
+                raise ValueError("a one-hop transform must be the identity")
+        elif [_dot(r, m) for r in t] != [0, 1, 0] or [_dot(r, b) for r in t] != [0, 0, 1]:
+            raise ValueError("transform must send the middle vertex to (0,1,0), the end to (0,0,1)")
 
     @property
     def num_edges(self) -> int:

@@ -2,6 +2,7 @@
 
 import contextlib
 import json
+import math
 import os
 import random
 import subprocess
@@ -136,17 +137,38 @@ def test_torus_simplex_farey_dim2(capsys):
     assert d["is_simplex"] is True
 
 
-@pytest.mark.parametrize("vertices, smith_forms", [(("1,0,0", "0,1,0", "0,0,1", "1,1,2"), 4),
-                                                   (("2,3,5", "1,2,0"), 1)])
-def test_torus_simplex_runs_one_smith_form_per_reported_gcd(capsys, monkeypatch, vertices,
+@pytest.mark.parametrize("vertices, gcds, smith_forms", [
+    (("1,0,0", "0,1,0", "0,0,1", "1,1,2"), 4, 0),
+    (("2,3,5", "1,2,0"), 1, 1),
+])
+def test_torus_simplex_runs_one_minors_gcd_per_reported_gcd(capsys, monkeypatch, vertices, gcds,
                                                             smith_forms):
-    """One Smith form per minor gcd in the output: is_simplex is read off
-    those gcds, not computed again."""
-    calls = []
-    original = exactlin.invariant_factors
-    monkeypatch.setattr(exactlin, "invariant_factors", lambda rows: calls.append(rows) or original(rows))
+    """One minor gcd per gcd in the output: is_simplex is read off those
+    gcds, not computed again.  A square block (each facet of n + 1
+    vertices) is one determinant and never reaches the Smith core."""
+    calls = {"minors_gcd": [], "invariant_factors": []}
+    for module, name in ((toruscomplex, "minors_gcd"), (exactlin, "invariant_factors")):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *args, f=original, seen=calls[name]: seen.append(args) or f(*args))
     run_json(capsys, "torus", "simplex", *vertices)
-    assert len(calls) == smith_forms
+    assert (len(calls["minors_gcd"]), len(calls["invariant_factors"])) == (gcds, smith_forms)
+
+
+def test_torus_simplex_on_33_vertices_of_length_32_is_fast(capsys):
+    """n + 1 seeded vertices of length 32: each facet gcd is one Bareiss
+    determinant, whose entries stay minors of the input, while a Smith
+    form of the same block grows its entries and took seconds."""
+    rng = random.Random(7)
+    classes = {}  # canonical class -> the vector drawn first, in drawing order
+    while len(classes) < 33:
+        v = [rng.randint(-9, 9) for _ in range(32)]
+        if math.gcd(*v) == 1:
+            classes.setdefault(toruscomplex.canonicalize(v), v)
+    start = time.perf_counter()
+    d = run_json(capsys, "torus", "simplex", "--", *(",".join(map(str, v)) for v in classes.values()))
+    assert time.perf_counter() - start < 1.0
+    assert len(d["facet_minors_gcds"]) == 33
 
 
 # ----------------------------------------------------------- torus graph
@@ -390,6 +412,7 @@ def test_broken_seifert_report_is_an_internal_error(capsys, monkeypatch):
 
 @pytest.mark.parametrize("module, name, argv", [
     (exactlin, "_snf_core", ("torus", "simplex", "1,0,0", "0,1,0")),
+    (exactlin, "det", ("torus", "simplex", "1,0,0", "0,1,0", "0,0,1")),
     (toruscomplex, "cross_product", ("torus", "simplex", "1,0,0", "0,1,0", "--complex", "surface")),
     (toruscomplex, "_coprime_minor_pairs", ("torus", "graph", "--height", "1")),
     (toruscomplex, "_bfs_layers", ("torus", "distance", "1,0,0", "0,1,0", "--height", "1")),
@@ -399,8 +422,8 @@ def test_broken_seifert_report_is_an_internal_error(capsys, monkeypatch):
     (toruscomplex, "_witness_column", ("torus", "path", "2,3,5", "0,0,1")),
     (seifert, "invariant_factors", ("seifert", "info", "--genus", "0", "--b", "-1",
                                     "--fiber", "2:1", "--fiber", "2:1")),
-], ids=["simplex", "simplex-surface", "graph", "distance", "diameter", "farey", "graph-dot",
-        "path", "seifert"])
+], ids=["simplex", "simplex-square", "simplex-surface", "graph", "distance", "diameter", "farey",
+        "graph-dot", "path", "seifert"])
 def test_internal_fault_exits_1_in_every_subcommand(capsys, monkeypatch, module, name, argv):
     """A ValueError from inside the work, after the inputs are accepted, is
     an internal fault: exit 1, never exit 2 as if the input were invalid."""

@@ -219,10 +219,22 @@ def test_minors_gcd_examples():
 
 
 @given(
-    st.lists(st.lists(st.integers(-9, 9), min_size=3, max_size=3), min_size=2, max_size=4),
-    st.integers(1, 2),
+    st.one_of(
+        st.tuples(
+            st.lists(st.lists(st.integers(-9, 9), min_size=3, max_size=3), min_size=2, max_size=4),
+            st.integers(1, 2),
+        ),
+        # A square matrix and its one full minor, the determinant.
+        st.integers(1, 5).flatmap(
+            lambda n: st.tuples(
+                st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n), min_size=n, max_size=n),
+                st.just(n),
+            )
+        ),
+    )
 )
-def test_minors_gcd_matches_enumeration(rows, k):
+def test_minors_gcd_matches_enumeration(case):
+    rows, k = case
     a = IntMatrix.from_rows(rows)
     assert minors_gcd(a, k) == math.gcd(*all_minors(rows, k))
 

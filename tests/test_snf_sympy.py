@@ -1,17 +1,21 @@
-"""Smith normal forms checked against sympy.
+"""Smith normal forms and determinants checked against sympy.
 
 Invariant factors are compared with sympy's own Smith normal form, and
 the certificates of `smith_normal_form` are checked with sympy products
-and determinants alone; no other kernel of `surfcomplex.exactlin` is used.
+and determinants alone.  `det`, and the facet gcds of `finegold_minors`
+that come from it, are compared with sympy's determinants.  Nothing else
+of `surfcomplex` is used, apart from `canonicalize` to draw vertices.
 """
 
+import math
 import random
 
 import pytest
 from sympy import ZZ, Matrix
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
-from surfcomplex.exactlin import IntMatrix, invariant_factors, smith_normal_form
+from surfcomplex.exactlin import IntMatrix, det, invariant_factors, smith_normal_form
+from surfcomplex.toruscomplex import canonicalize, finegold_minors
 
 
 def random_matrices(count, seed):
@@ -44,3 +48,48 @@ def test_smith_certificates_check_in_sympy(seed):
         assert U * Matrix(rows) * V == D, rows
         assert U.det() in (1, -1) and V.det() in (1, -1), rows
         assert D == sympy_snf(Matrix(rows), domain=ZZ).applyfunc(abs), rows
+
+
+def random_square_matrices(count, seed):
+    """Seeded square matrices up to 12x12, entries up to 1e12; about one in
+    three gets a row that is a combination of two others (entries then up
+    to 6e12), so it is singular; sparse ones are singular by chance."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(1, 12)
+        bound = rng.choice((1, 3, 10, 1000, 10**6, 10**12))
+        density = rng.choice((0.2, 0.5, 1.0))
+        rows = [[rng.randint(-bound, bound) if rng.random() < density else 0 for _ in range(n)]
+                for _ in range(n)]
+        if n > 1 and rng.random() < 1 / 3:
+            i = rng.randrange(n)
+            j, k = (rng.choice([r for r in range(n) if r != i]) for _ in range(2))
+            x, y = rng.randint(-3, 3), rng.randint(-3, 3)
+            rows[i] = [x * e + y * f for e, f in zip(rows[j], rows[k])]
+        out.append(rows)
+    return out
+
+
+@pytest.mark.parametrize("seed", range(8, 10))
+def test_det_matches_sympy(seed):
+    matrices = random_square_matrices(100, seed)
+    want = [Matrix(rows).det() for rows in matrices]
+    assert 0 in want and any(want)
+    for rows, d in zip(matrices, want):
+        assert det(IntMatrix.from_rows(rows)) == d, rows
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_facet_minors_match_sympy_determinants(n):
+    """n + 1 seeded classes in Z^n: facet j's gcd is |det| of the other n."""
+    rng = random.Random(n)
+    vs = []
+    while len(vs) < n + 1:
+        v = [rng.randint(-9, 9) for _ in range(n)]
+        if math.gcd(*v) == 1 and canonicalize(v) not in vs:
+            vs.append(canonicalize(v))
+    cols = [v.coords for v in vs]
+    # The facet's columns as rows: the transpose has the same determinant.
+    want = [abs(Matrix(cols[:j] + cols[j + 1:]).det()) for j in range(n + 1)]
+    assert finegold_minors(vs) == want

@@ -354,6 +354,9 @@ def test_path_certificate_rejects_forgeries():
         ("one witness per edge", (a, mid), (w0, w1), ident),
         ("two or three waypoints", (a,), (), ident),
         (columns, (a, mid, b), (IntMatrix.from_columns([c0, c1]), w1), ident),
+        ("transform must send the middle vertex", (a, mid, b), (w0, w1), ident),
+        ("one-hop transform must be the identity", (mid, a), (back,),
+         IntMatrix(((0, 1, 0), (0, 0, 1), (1, 0, 0)))),
     ]
     for message, waypoints, witnesses, transform in forgeries:
         with pytest.raises(ValueError, match=message):
