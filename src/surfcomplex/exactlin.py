@@ -1,14 +1,14 @@
 """Exact integer linear algebra over Python's arbitrary-precision ints.
 
-Everything here is exact: no floats, no modular shortcuts, no overflow.
-The module supplies the kernels the rest of the package is built on:
-extended gcd with a deterministic minimal Bezout pair, fraction-free
-determinants, Smith normal form with unimodular certificate matrices,
-gcds of k x k minors read from its invariant factors, and completion of
-a primitive vector to a determinant-1 matrix.  The one computation
-modulo primes, finding all pairs of bounded vectors with coprime 2x2
-minors at once, covers every prime up to a bound on the minors, so it is
-exact too.
+Everything here is exact: no floats, no overflow.  The module supplies
+the kernels the rest of the package is built on: extended gcd with a
+deterministic minimal Bezout pair, fraction-free determinants, Smith
+normal form with unimodular certificate matrices, gcds of k x k minors
+(maximal ones by elimination, others from invariant factors), and
+completion of a primitive vector to a determinant-1 matrix.  Its two
+modular steps are exact: maximal minors work mod a nonzero minor d, with
+d*Z^k in the row lattice, and coprime 2x2 minors of bounded vectors are
+found mod every prime up to a bound on the minors.
 
 All values are immutable once constructed and safe to share between
 threads; every function is a pure function of its inputs.
@@ -158,32 +158,53 @@ def content(v: Sequence[int]) -> int:
     return math.gcd(*vv)
 
 
-def det(A: IntMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    if A.rows != A.cols:
-        raise ValueError("determinant of a non-square matrix")
-    n = A.rows
-    m = [list(row) for row in A.entries]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
+def _eliminate(m: list[list[int]], k: int) -> int:
+    # Bareiss, in place, on the first k columns of at least k rows, pivoting
+    # over all rows: a nonzero k x k minor, or 0 if the columns are dependent.
+    sign = prev = 1
+    for t in range(k):
+        if m[t][t] == 0:
+            for i in range(t + 1, len(m)):
+                if m[i][t] != 0:
+                    m[t], m[i] = m[i], m[t]
                     sign = -sign
                     break
             else:
                 return 0
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            row_i, row_k = m[i], m[k]
-            head = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pivot - head * row_k[j]) // prev
-            row_i[k] = 0
+        pivot = m[t][t]
+        for i in range(t + 1, len(m)):
+            row_i, row_t = m[i], m[t]
+            head = row_i[t]
+            for j in range(t + 1, k):
+                row_i[j] = (row_i[j] * pivot - head * row_t[j]) // prev
+            row_i[t] = 0
         prev = pivot
-    return sign * m[n - 1][n - 1]
+    return sign * prev
+
+
+def det(A: IntMatrix) -> int:
+    """Exact determinant by fraction-free (Bareiss) elimination."""
+    if A.rows != A.cols:
+        raise ValueError("determinant of a non-square matrix")
+    return _eliminate([list(row) for row in A.entries], A.cols)
+
+
+def _lattice_index(rows: Sequence[Sequence[int]], d: int) -> int:
+    # Index in Z^k of the row lattice, given d > 0 with d*Z^k in it (Domich,
+    # Kannan and Trotter 1987).  Rows enter a triangular basis from d*I, mod d
+    # right of pivot j: the basis rows from i > j on, not yet reached, span d*e_i.
+    k = len(rows[0])
+    H = [[d * (i == j) for j in range(k)] for i in range(k)]
+    for row in rows:
+        v = [e % d for e in row]
+        for j in range(k):
+            if v[j]:
+                h = H[j]
+                g, x, y = xgcd(h[j], v[j])
+                a, b = h[j] // g, v[j] // g
+                H[j] = [(x * p + y * q) % d for p, q in zip(h, v)]
+                v = [(a * q - b * p) % d for p, q in zip(h, v)]
+    return math.prod(H[j][j] for j in range(k))
 
 
 def minors_gcd(A: IntMatrix, k: int) -> int:
@@ -191,14 +212,18 @@ def minors_gcd(A: IntMatrix, k: int) -> int:
 
     This is the SL(n, Z)-submatrix criterion in computable form: an n x k
     integer matrix extends to a unimodular matrix exactly when the gcd of
-    its k x k minors is 1.  By the determinantal divisor theorem (Newman,
-    Integral Matrices) that gcd is d1 * ... * dk, the first k invariant factors.
-    The one full minor of a square matrix is |det A| instead: Bareiss keeps
-    every intermediate entry a minor of A, while Smith entries can blow up.
+    its k x k minors is 1.  For maximal k, Bareiss elimination finds one
+    nonzero minor d, or shows all are 0; unless A is square, the gcd is the
+    index, computed mod d, of the row lattice of A or of its transpose,
+    whichever is tall.  Smaller k takes d1 * ... * dk, the invariant factors.
     """
     if k < 1 or k > min(A.rows, A.cols):
         raise ValueError(f"minor size {k} out of range for {A.rows}x{A.cols}")
-    return abs(det(A)) if k == A.rows == A.cols else math.prod(invariant_factors(A)[:k])
+    if k < min(A.rows, A.cols):
+        return math.prod(invariant_factors(A)[:k])
+    rows = A.entries if A.rows >= A.cols else tuple(zip(*A.entries))
+    d = abs(_eliminate([list(row) for row in rows], k))
+    return d if d == 0 or len(rows) == k else _lattice_index(rows, d)
 
 
 def _coprime_minor_pairs(vectors: Sequence[tuple[int, ...]], height: int) -> tuple[int, ...]:

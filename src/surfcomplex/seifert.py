@@ -207,7 +207,7 @@ def h2_rank(inv: SeifertInvariants) -> int:
     """Rank of second homology: equal to the free rank of first homology
     (universal coefficients plus duality), hence 2g + 1 when the Euler
     number vanishes and 2g otherwise."""
-    return h1(inv).free_rank
+    return 2 * inv.genus + (euler_number(inv) == 0)
 
 
 def torus_link_components(m: int, n: int) -> int:

@@ -156,10 +156,10 @@ def _vertex_length(vs: Sequence[ProjVector]) -> int:
 
 
 def finegold_minors(vs: Sequence[ProjVector]) -> int | list[int]:
-    """The minor gcds behind `is_finegold_simplex`, with n = len(vs[0]):
-    for k+1 <= n vertices, the gcd of the (k+1)x(k+1) minors of the
-    n x (k+1) matrix of representatives; for n+1 vertices, the list of the
-    n x n minor gcds of the facets, omitting vertex 0, 1, ..., n in turn.
+    """The maximal-minor gcds behind `is_finegold_simplex`, n = len(vs[0]):
+    for k <= n vertices, that of their n x k matrix of representatives, by
+    one elimination and, for k < n, a lattice index mod a nonzero minor; for
+    n + 1 vertices, |det| of each facet, omitting vertex 0, 1, ..., n in turn.
     After the input checks, a ValueError is an internal fault (RuntimeError)."""
     vs = list(vs)
     n = _vertex_length(vs)

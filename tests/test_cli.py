@@ -139,13 +139,14 @@ def test_torus_simplex_farey_dim2(capsys):
 
 @pytest.mark.parametrize("vertices, gcds, smith_forms", [
     (("1,0,0", "0,1,0", "0,0,1", "1,1,2"), 4, 0),
-    (("2,3,5", "1,2,0"), 1, 1),
+    (("2,3,5", "1,2,0"), 1, 0),
+    (("1,0,0", "0,1,0"), 1, 0),
 ])
 def test_torus_simplex_runs_one_minors_gcd_per_reported_gcd(capsys, monkeypatch, vertices, gcds,
                                                             smith_forms):
     """One minor gcd per gcd in the output: is_simplex is read off those
-    gcds, not computed again.  A square block (each facet of n + 1
-    vertices) is one determinant and never reaches the Smith core."""
+    gcds, not computed again.  Every gcd is of maximal minors, which come
+    from fraction-free elimination and never reach the Smith core."""
     calls = {"minors_gcd": [], "invariant_factors": []}
     for module, name in ((toruscomplex, "minors_gcd"), (exactlin, "invariant_factors")):
         original = getattr(module, name)
@@ -155,20 +156,38 @@ def test_torus_simplex_runs_one_minors_gcd_per_reported_gcd(capsys, monkeypatch,
     assert (len(calls["minors_gcd"]), len(calls["invariant_factors"])) == (gcds, smith_forms)
 
 
+def seeded_vertices(count, n):
+    """count distinct classes of length n, entries in [-9, 9], seed 7."""
+    rng = random.Random(7)
+    classes = {}  # canonical class -> the vector drawn first, in drawing order
+    while len(classes) < count:
+        v = [rng.randint(-9, 9) for _ in range(n)]
+        if math.gcd(*v) == 1:
+            classes.setdefault(toruscomplex.canonicalize(v), v)
+    return [",".join(map(str, v)) for v in classes.values()]
+
+
 def test_torus_simplex_on_33_vertices_of_length_32_is_fast(capsys):
     """n + 1 seeded vertices of length 32: each facet gcd is one Bareiss
     determinant, whose entries stay minors of the input, while a Smith
     form of the same block grows its entries and took seconds."""
-    rng = random.Random(7)
-    classes = {}  # canonical class -> the vector drawn first, in drawing order
-    while len(classes) < 33:
-        v = [rng.randint(-9, 9) for _ in range(32)]
-        if math.gcd(*v) == 1:
-            classes.setdefault(toruscomplex.canonicalize(v), v)
+    vertices = seeded_vertices(33, 32)
     start = time.perf_counter()
-    d = run_json(capsys, "torus", "simplex", "--", *(",".join(map(str, v)) for v in classes.values()))
+    d = run_json(capsys, "torus", "simplex", "--", *vertices)
     assert time.perf_counter() - start < 1.0
     assert len(d["facet_minors_gcds"]) == 33
+
+
+def test_torus_simplex_on_63_vertices_of_length_64_is_fast(capsys):
+    """Fewer than n seeded vertices (a 10 KB command line): one Bareiss
+    elimination finds a nonzero maximal minor d, and the gcd is a lattice
+    index kept mod d, where a Smith form of the same block ran over 15
+    minutes."""
+    vertices = seeded_vertices(63, 64)
+    start = time.perf_counter()
+    d = run_json(capsys, "torus", "simplex", "--", *vertices)
+    assert time.perf_counter() - start < 2.0
+    assert d["minors_gcd"] >= 1
 
 
 # ----------------------------------------------------------- torus graph
@@ -216,7 +235,8 @@ def test_farey_neighbors(capsys):
 
 def test_torus_simplex_dimension_20_is_fast(capsys):
     """Ten vectors in dimension 20 whose maximal minors are all even: the
-    gcd comes from the invariant factors, not from C(20, 10) minors."""
+    gcd comes from one elimination and a lattice index mod one nonzero
+    minor, not from C(20, 10) minors."""
     e = [[int(i == j) for j in range(20)] for i in range(20)]
     vs = [[x + y for x, y in zip(e[0], e[1])], [x - y for x, y in zip(e[0], e[1])]] + e[2:10]
     start = time.perf_counter()
@@ -411,8 +431,8 @@ def test_broken_seifert_report_is_an_internal_error(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("module, name, argv", [
-    (exactlin, "_snf_core", ("torus", "simplex", "1,0,0", "0,1,0")),
-    (exactlin, "det", ("torus", "simplex", "1,0,0", "0,1,0", "0,0,1")),
+    (exactlin, "_lattice_index", ("torus", "simplex", "1,0,0", "0,1,0")),
+    (exactlin, "_eliminate", ("torus", "simplex", "1,0,0", "0,1,0", "0,0,1")),
     (toruscomplex, "cross_product", ("torus", "simplex", "1,0,0", "0,1,0", "--complex", "surface")),
     (toruscomplex, "_coprime_minor_pairs", ("torus", "graph", "--height", "1")),
     (toruscomplex, "_bfs_layers", ("torus", "distance", "1,0,0", "0,1,0", "--height", "1")),

@@ -105,6 +105,14 @@ def all_minors(rows, k):
     return out
 
 
+def with_dependence(rows, c, how):
+    if how == "row":
+        return rows[:-1] + [[c * e for e in rows[0]]]
+    if how == "column":
+        return [row[:-1] + [c * row[0]] for row in rows]
+    return rows
+
+
 def check_snf(a: IntMatrix):
     res = smith_normal_form(a)
     assert res.U @ a @ res.V == res.D
@@ -230,6 +238,15 @@ def test_minors_gcd_examples():
                 st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n), min_size=n, max_size=n),
                 st.just(n),
             )
+        ),
+        # A tall matrix and its maximal minors, k = cols < rows: the last row
+        # may be c times the first, or the last column c times the first.
+        st.integers(1, 3).flatmap(
+            lambda k: st.tuples(
+                st.lists(st.lists(st.integers(-9, 9), min_size=k, max_size=k), min_size=k + 1, max_size=6),
+                st.integers(-3, 3),
+                st.sampled_from(("row", "column", "neither")),
+            ).map(lambda t: (with_dependence(*t), k))
         ),
     )
 )

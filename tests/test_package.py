@@ -1,6 +1,7 @@
 """The package namespace: every module's public names, re-exported; the
-Python floor."""
+Python floor; no dependency outside the standard library."""
 
+import ast
 import re
 import sys
 from pathlib import Path
@@ -31,3 +32,22 @@ def test_ci_matrix_meets_the_python_floor():
     workflow = yaml.safe_load((root / ".github" / "workflows" / "tests.yml").read_text())
     versions = workflow["jobs"]["test"]["strategy"]["matrix"]["python-version"]
     assert versions and all(tuple(map(int, v.split("."))) >= floor[:2] for v in versions)
+
+
+def test_package_imports_only_the_standard_library():
+    """Every absolute import in the package names a standard-library module
+    or the package itself, and pyproject.toml declares no dependencies."""
+    root = Path(__file__).resolve().parent.parent
+    for path in sorted((root / "src" / "surfcomplex").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                assert top in sys.stdlib_module_names or top == "surfcomplex", (path.name, name)
+    pyproject = (root / "pyproject.toml").read_text()
+    assert re.findall(r"^dependencies\s*=\s*(.*)$", pyproject, re.M) == ["[]"]

@@ -8,6 +8,8 @@ transversal circle.
 """
 
 import math
+import random
+import time
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -241,6 +243,16 @@ def test_h2_rank_examples():
     assert h2_rank(SFS(1, 0)) == 3
     assert h2_rank(SFS(0, -1, ((4, 1),) * 4)) == 1
     assert h2_rank(SFS(2, 1)) == 4
+
+
+def test_h2_rank_of_48_fibers_with_30_digit_alphas_is_fast():
+    """h2_rank is read off the Euler number, with no Smith form of the
+    fiber block, whose reduction took seconds on this tuple."""
+    rng = random.Random(1)
+    inv = normalize(SFS(0, 1, tuple((rng.randrange(10**29, 10**30), 1) for _ in range(48))))
+    start = time.perf_counter()
+    assert h2_rank(inv) == 0
+    assert time.perf_counter() - start < 0.1
 
 
 def test_h1_matches_full_presentation_oracle_small_grid():

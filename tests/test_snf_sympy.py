@@ -3,8 +3,11 @@
 Invariant factors are compared with sympy's own Smith normal form, and
 the certificates of `smith_normal_form` are checked with sympy products
 and determinants alone.  `det`, and the facet gcds of `finegold_minors`
-that come from it, are compared with sympy's determinants.  Nothing else
-of `surfcomplex` is used, apart from `canonicalize` to draw vertices.
+that come from it, are compared with sympy's determinants; the gcd of the
+maximal minors of a matrix that is not square, from `minors_gcd` and from
+`finegold_minors` on fewer than n vertices, with the product of sympy's
+invariant factors.  Nothing else of `surfcomplex` is used, apart from
+`canonicalize` to draw vertices.
 """
 
 import math
@@ -14,7 +17,7 @@ import pytest
 from sympy import ZZ, Matrix
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
-from surfcomplex.exactlin import IntMatrix, det, invariant_factors, smith_normal_form
+from surfcomplex.exactlin import IntMatrix, det, invariant_factors, minors_gcd, smith_normal_form
 from surfcomplex.toruscomplex import canonicalize, finegold_minors
 
 
@@ -93,3 +96,54 @@ def test_facet_minors_match_sympy_determinants(n):
     # The facet's columns as rows: the transpose has the same determinant.
     want = [abs(Matrix(cols[:j] + cols[j + 1:]).det()) for j in range(n + 1)]
     assert finegold_minors(vs) == want
+
+
+def sympy_maximal_minors_gcd(rows):
+    D = sympy_snf(Matrix(rows), domain=ZZ)
+    return math.prod(abs(D[i, i]) for i in range(min(D.shape)))
+
+
+def random_oblong_matrices(count, seed):
+    """Seeded tall and wide matrices up to 12 rows, entries up to 1e12;
+    about one in three gets a line along its short side that is a
+    combination of two others (or a multiple of one), so its rank drops."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        m, n = rng.sample(range(1, 13), 2)
+        bound = rng.choice((1, 3, 10, 1000, 10**6, 10**12))
+        density = rng.choice((0.2, 0.5, 1.0))
+        rows = [[rng.randint(-bound, bound) if rng.random() < density else 0 for _ in range(n)]
+                for _ in range(m)]
+        lines = rows if m < n else [list(col) for col in zip(*rows)]
+        if len(lines) > 1 and rng.random() < 1 / 3:
+            i = rng.randrange(len(lines))
+            j, k = (rng.choice([r for r in range(len(lines)) if r != i]) for _ in range(2))
+            x, y = rng.randint(-3, 3), rng.randint(-3, 3)
+            lines[i] = [x * e + y * f for e, f in zip(lines[j], lines[k])]
+        out.append(lines if m < n else [list(row) for row in zip(*lines)])
+    return out
+
+
+@pytest.mark.parametrize("seed", range(10, 12))
+def test_maximal_minors_gcd_matches_sympy(seed):
+    matrices = random_oblong_matrices(100, seed)
+    want = [sympy_maximal_minors_gcd(rows) for rows in matrices]
+    assert 0 in want and 1 in want and any(w > 1 for w in want)
+    for rows, g in zip(matrices, want):
+        assert minors_gcd(IntMatrix.from_rows(rows), min(len(rows), len(rows[0]))) == g, rows
+
+
+@pytest.mark.parametrize("n", range(4, 11))
+def test_fewer_than_n_vertices_match_sympy_invariant_factors(n):
+    """k < n seeded classes in Z^n: the gcd of the k x k minors of their
+    n x k matrix is the product of its k invariant factors."""
+    rng = random.Random(100 + n)
+    for k in range(2, n):
+        vs = []
+        while len(vs) < k:
+            v = [rng.randint(-9, 9) for _ in range(n)]
+            if math.gcd(*v) == 1 and canonicalize(v) not in vs:
+                vs.append(canonicalize(v))
+        cols = [v.coords for v in vs]
+        assert finegold_minors(vs) == sympy_maximal_minors_gcd([list(r) for r in zip(*cols)]), cols
