@@ -22,9 +22,8 @@ import json
 import sys
 from typing import Callable
 
-from . import seifert, toruscomplex
+# Each runner imports its own layer, so a cold start compiles only that one.
 from .exactlin import _building
-from .toruscomplex import canonicalize
 
 
 def parse_vector(text: str) -> tuple[int, ...]:
@@ -109,6 +108,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _height(ns: argparse.Namespace) -> int:
+    from . import toruscomplex
     toruscomplex._check_truncation(ns.height)
     return ns.height
 
@@ -120,15 +120,17 @@ _Renderings = tuple[Callable[[], object], Callable[[], str]]
 
 
 def _run_torus_path(ns: argparse.Namespace) -> _Renderings:
-    a, b = map(canonicalize, (parse_vector(ns.a), parse_vector(ns.b)))
+    from . import toruscomplex
+    a, b = map(toruscomplex.canonicalize, (parse_vector(ns.a), parse_vector(ns.b)))
     cert = toruscomplex.connect_path(a, b)
     return cert.to_json_dict, lambda: " -> ".join(v.label for v in cert.waypoints)
 
 
 def _run_torus_distance(ns: argparse.Namespace) -> _Renderings:
+    from . import toruscomplex
     vectors = (parse_vector(ns.a), parse_vector(ns.b))
     height = _height(ns)
-    a, b = map(canonicalize, vectors)
+    a, b = map(toruscomplex.canonicalize, vectors)
     graph = toruscomplex.build_graph("surface-complex-s1", height)
     dist = toruscomplex.bfs_distance(graph, a, b)
     value = "unreachable-in-truncation" if dist is None else dist
@@ -139,7 +141,8 @@ def _run_torus_distance(ns: argparse.Namespace) -> _Renderings:
 
 
 def _run_torus_simplex(ns: argparse.Namespace) -> _Renderings:
-    vs = [canonicalize(v) for v in [parse_vector(text) for text in ns.vertices]]
+    from . import toruscomplex
+    vs = [toruscomplex.canonicalize(v) for v in [parse_vector(text) for text in ns.vertices]]
     payload: dict = {
         "complex": ns.complex,
         "dim": len(vs[0]),
@@ -165,6 +168,7 @@ def _run_torus_simplex(ns: argparse.Namespace) -> _Renderings:
 
 
 def _run_torus_graph(ns: argparse.Namespace) -> _Renderings:
+    from . import toruscomplex
     graph = toruscomplex.build_graph(_KIND_TAGS[ns.kind], _height(ns), n=ns.dim)
     return (
         lambda: toruscomplex.graph_to_json_dict(graph),
@@ -173,6 +177,7 @@ def _run_torus_graph(ns: argparse.Namespace) -> _Renderings:
 
 
 def _run_torus_diameter(ns: argparse.Namespace) -> _Renderings:
+    from . import toruscomplex
     graph = toruscomplex.build_graph("surface-complex-s1", _height(ns))
     diam, pair = toruscomplex.truncation_diameter(graph)
     value = "unreachable-in-truncation" if diam is None else diam
@@ -184,9 +189,10 @@ def _run_torus_diameter(ns: argparse.Namespace) -> _Renderings:
 
 
 def _run_farey_neighbors(ns: argparse.Namespace) -> _Renderings:
+    from . import toruscomplex
     vector = parse_vector(ns.vertex)
     height = _height(ns)
-    v = canonicalize(vector)
+    v = toruscomplex.canonicalize(vector)
     neighbors = toruscomplex.farey_neighbors(v, height)
     return (
         lambda: {"vertex": list(v.coords), "height": height,
@@ -196,6 +202,7 @@ def _run_farey_neighbors(ns: argparse.Namespace) -> _Renderings:
 
 
 def _run_seifert_info(ns: argparse.Namespace) -> _Renderings:
+    from . import seifert
     inv = seifert.SeifertInvariants(ns.genus, ns.b, tuple(parse_fiber(f) for f in ns.fiber))
     payload = seifert.info_json_dict(inv)
     return lambda: payload, lambda: (

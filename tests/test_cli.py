@@ -390,9 +390,18 @@ def _broken(name, f):
 @pytest.mark.parametrize("argv", [("1,2,0", "1,0,0"), ("2,4,1", "0,0,1")])
 def test_broken_middle_pair_is_an_internal_error(capsys, monkeypatch, argv):
     """Accepted inputs whose construction goes wrong exit 1, not 2."""
-    # Within a path, toruscomplex canonicalizes only the middle vertex.
+    # Within a path, toruscomplex canonicalizes only the middle vertex; the
+    # CLI canonicalizes the two inputs before, so the fault is armed only
+    # while connect_path runs.
     doubled = _broken("canonicalize", lambda v: toruscomplex.ProjVector(tuple(2 * e for e in v.coords)))
-    monkeypatch.setattr(toruscomplex, "canonicalize", doubled)
+    connect_path = toruscomplex.connect_path
+
+    def faulty_connect_path(a, b):
+        with monkeypatch.context() as m:
+            m.setattr(toruscomplex, "canonicalize", doubled)
+            return connect_path(a, b)
+
+    monkeypatch.setattr(toruscomplex, "connect_path", faulty_connect_path)
     code, out, err = run(capsys, "torus", "path", *argv)
     assert code == 1 and out == ""
     assert err.startswith("internal error:")

@@ -1,8 +1,11 @@
-"""The package namespace: every module's public names, re-exported; the
-Python floor; no dependency outside the standard library."""
+"""The package namespace: every module's public names, re-exported on
+first use; the layer each CLI command loads; the Python floor; no
+dependency outside the standard library."""
 
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -17,6 +20,57 @@ def test_package_reexports_each_modules_all(module):
     assert module.__all__
     for name in module.__all__:
         assert getattr(surfcomplex, name) is getattr(module, name), name
+
+
+def test_star_import_binds_every_public_name():
+    """The names an eager `from .module import *` of each module gave:
+    every module's `__all__`, and the three modules themselves."""
+    modules = (exactlin, seifert, toruscomplex)
+    namespace = {}
+    exec("from surfcomplex import *", namespace)
+    del namespace["__builtins__"]
+    expected = {m.__name__.rpartition(".")[2] for m in modules}
+    expected.update(name for m in modules for name in m.__all__)
+    assert set(namespace) == expected
+    for m in modules:
+        for name in m.__all__:
+            assert namespace[name] is getattr(m, name), name
+
+
+def test_dir_lists_every_public_name_and_unknown_names_raise():
+    assert set(surfcomplex.__all__) <= set(dir(surfcomplex))
+    assert "__version__" in dir(surfcomplex)
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        surfcomplex.no_such_name
+
+
+LAYER_PROBE = """
+import contextlib, io, sys
+import surfcomplex
+assert [k for k in sys.modules if k.startswith("surfcomplex.")] == [], sorted(sys.modules)
+from surfcomplex import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(sys.argv[1:]) == 0
+print(" ".join(sorted(sys.modules)))
+"""
+
+
+@pytest.mark.parametrize("argv, layer, absent", [
+    (["torus", "path", "2,3,5", "0,0,1"], "toruscomplex", {"surfcomplex.seifert", "fractions"}),
+    (["seifert", "info", "--genus", "0", "--b", "-1", "--fiber", "2:1", "--fiber", "2:1"],
+     "seifert", {"surfcomplex.toruscomplex"}),
+], ids=["torus", "seifert"])
+def test_a_command_loads_only_its_own_layer(argv, layer, absent):
+    """In a fresh interpreter, `import surfcomplex` loads no module, and a
+    command loads the layer it runs and not the other one."""
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run([sys.executable, "-c", LAYER_PROBE, *argv],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert {"surfcomplex.cli", "surfcomplex.exactlin", f"surfcomplex.{layer}"} <= loaded
+    assert not absent & loaded, absent & loaded
 
 
 def test_ci_matrix_meets_the_python_floor():
