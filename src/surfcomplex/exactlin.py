@@ -159,8 +159,9 @@ def content(v: Sequence[int]) -> int:
 
 
 def _eliminate(m: list[list[int]], k: int) -> int:
-    # Bareiss, in place, on the first k columns of at least k rows, pivoting
-    # over all rows: a nonzero k x k minor, or 0 if the columns are dependent.
+    # Bareiss, in place: k pivot steps, over all rows, on the first k columns of
+    # at least k rows give a nonzero k x k minor, or 0 if they are dependent.
+    # Carried along, m[i][j] for i, j >= k ends as the minor on rows <k, i, cols <k, j.
     sign = prev = 1
     for t in range(k):
         if m[t][t] == 0:
@@ -175,7 +176,7 @@ def _eliminate(m: list[list[int]], k: int) -> int:
         for i in range(t + 1, len(m)):
             row_i, row_t = m[i], m[t]
             head = row_i[t]
-            for j in range(t + 1, k):
+            for j in range(t + 1, len(row_t)):
                 row_i[j] = (row_i[j] * pivot - head * row_t[j]) // prev
             row_i[t] = 0
         prev = pivot

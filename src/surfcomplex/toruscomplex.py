@@ -37,7 +37,7 @@ from math import gcd
 from operator import itemgetter, lt
 from typing import Sequence
 
-from .exactlin import IntMatrix, _building, _coprime_minor_pairs, content, minors_gcd, xgcd
+from .exactlin import IntMatrix, _building, _coprime_minor_pairs, _eliminate, content, minors_gcd, xgcd
 
 __all__ = [
     "ProjVector",
@@ -159,7 +159,8 @@ def finegold_minors(vs: Sequence[ProjVector]) -> int | list[int]:
     """The maximal-minor gcds behind `is_finegold_simplex`, n = len(vs[0]):
     for k <= n vertices, that of their n x k matrix of representatives, by
     one elimination and, for k < n, a lattice index mod a nonzero minor; for
-    n + 1 vertices, |det| of each facet, omitting vertex 0, 1, ..., n in turn.
+    n + 1 vertices, |det| of each facet, omitting vertex 0, 1, ..., n in turn,
+    read, up to sign, off the last row of (V | I) after n Bareiss steps.
     After the input checks, a ValueError is an internal fault (RuntimeError)."""
     vs = list(vs)
     n = _vertex_length(vs)
@@ -171,7 +172,8 @@ def finegold_minors(vs: Sequence[ProjVector]) -> int | list[int]:
     with _building():
         if len(vs) <= n:
             return minors_gcd(IntMatrix.from_columns(cols), len(vs))
-        return [minors_gcd(IntMatrix.from_columns(cols[:j] + cols[j + 1:]), n) for j in range(len(cols))]
+        m = [list(c) + [int(i == j) for j in range(n + 1)] for i, c in enumerate(cols)]
+        return [abs(e) for e in m[n][n:]] if _eliminate(m, n) else [0] * (n + 1)
 
 
 def is_finegold_simplex(vs: Sequence[ProjVector]) -> bool:

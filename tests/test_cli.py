@@ -137,23 +137,25 @@ def test_torus_simplex_farey_dim2(capsys):
     assert d["is_simplex"] is True
 
 
-@pytest.mark.parametrize("vertices, gcds, smith_forms", [
-    (("1,0,0", "0,1,0", "0,0,1", "1,1,2"), 4, 0),
-    (("2,3,5", "1,2,0"), 1, 0),
-    (("1,0,0", "0,1,0"), 1, 0),
+@pytest.mark.parametrize("vertices, counts", [
+    (("1,0,0", "0,1,0", "0,0,1", "1,1,2"), (1, 0, 0)),
+    (("2,3,5", "1,2,0"), (0, 1, 0)),
+    (("1,0,0", "0,1,0"), (0, 1, 0)),
 ])
-def test_torus_simplex_runs_one_minors_gcd_per_reported_gcd(capsys, monkeypatch, vertices, gcds,
-                                                            smith_forms):
-    """One minor gcd per gcd in the output: is_simplex is read off those
+def test_torus_simplex_runs_one_elimination_per_input(capsys, monkeypatch, vertices, counts):
+    """One elimination per input, counted as (facet eliminations,
+    minors_gcd, invariant_factors): n + 1 vertices give every facet from
+    one pass, fewer give one minor gcd, and is_simplex is read off those
     gcds, not computed again.  Every gcd is of maximal minors, which come
     from fraction-free elimination and never reach the Smith core."""
-    calls = {"minors_gcd": [], "invariant_factors": []}
-    for module, name in ((toruscomplex, "minors_gcd"), (exactlin, "invariant_factors")):
+    calls = {"_eliminate": [], "minors_gcd": [], "invariant_factors": []}
+    for module, name in ((toruscomplex, "_eliminate"), (toruscomplex, "minors_gcd"),
+                         (exactlin, "invariant_factors")):
         original = getattr(module, name)
         monkeypatch.setattr(module, name,
                             lambda *args, f=original, seen=calls[name]: seen.append(args) or f(*args))
     run_json(capsys, "torus", "simplex", *vertices)
-    assert (len(calls["minors_gcd"]), len(calls["invariant_factors"])) == (gcds, smith_forms)
+    assert tuple(map(len, calls.values())) == counts
 
 
 def seeded_vertices(count, n):
@@ -167,15 +169,17 @@ def seeded_vertices(count, n):
     return [",".join(map(str, v)) for v in classes.values()]
 
 
-def test_torus_simplex_on_33_vertices_of_length_32_is_fast(capsys):
-    """n + 1 seeded vertices of length 32: each facet gcd is one Bareiss
-    determinant, whose entries stay minors of the input, while a Smith
-    form of the same block grows its entries and took seconds."""
-    vertices = seeded_vertices(33, 32)
+@pytest.mark.parametrize("n", [32, 100])
+def test_torus_simplex_on_n_plus_1_vertices_of_length_n_is_fast(capsys, n):
+    """n + 1 seeded vertices of length n: all facet gcds come from one
+    Bareiss elimination, whose entries stay minors of the input, while a
+    Smith form of one facet grows its entries and took seconds at n = 32,
+    and n + 1 separate determinants took 18.7 s at n = 100."""
+    vertices = seeded_vertices(n + 1, n)
     start = time.perf_counter()
     d = run_json(capsys, "torus", "simplex", "--", *vertices)
     assert time.perf_counter() - start < 1.0
-    assert len(d["facet_minors_gcds"]) == 33
+    assert len(d["facet_minors_gcds"]) == n + 1
 
 
 def test_torus_simplex_on_63_vertices_of_length_64_is_fast(capsys):
@@ -442,6 +446,7 @@ def test_broken_seifert_report_is_an_internal_error(capsys, monkeypatch):
 @pytest.mark.parametrize("module, name, argv", [
     (exactlin, "_lattice_index", ("torus", "simplex", "1,0,0", "0,1,0")),
     (exactlin, "_eliminate", ("torus", "simplex", "1,0,0", "0,1,0", "0,0,1")),
+    (toruscomplex, "_eliminate", ("torus", "simplex", "1,0,0", "0,1,0", "0,0,1", "1,1,2")),
     (toruscomplex, "cross_product", ("torus", "simplex", "1,0,0", "0,1,0", "--complex", "surface")),
     (toruscomplex, "_coprime_minor_pairs", ("torus", "graph", "--height", "1")),
     (toruscomplex, "_bfs_layers", ("torus", "distance", "1,0,0", "0,1,0", "--height", "1")),
@@ -451,8 +456,8 @@ def test_broken_seifert_report_is_an_internal_error(capsys, monkeypatch):
     (toruscomplex, "_witness_column", ("torus", "path", "2,3,5", "0,0,1")),
     (seifert, "invariant_factors", ("seifert", "info", "--genus", "0", "--b", "-1",
                                     "--fiber", "2:1", "--fiber", "2:1")),
-], ids=["simplex", "simplex-square", "simplex-surface", "graph", "distance", "diameter", "farey",
-        "graph-dot", "path", "seifert"])
+], ids=["simplex", "simplex-square", "simplex-facets", "simplex-surface", "graph", "distance",
+        "diameter", "farey", "graph-dot", "path", "seifert"])
 def test_internal_fault_exits_1_in_every_subcommand(capsys, monkeypatch, module, name, argv):
     """A ValueError from inside the work, after the inputs are accepted, is
     an internal fault: exit 1, never exit 2 as if the input were invalid."""

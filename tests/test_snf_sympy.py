@@ -3,7 +3,7 @@
 Invariant factors are compared with sympy's own Smith normal form, and
 the certificates of `smith_normal_form` are checked with sympy products
 and determinants alone.  `det`, and the facet gcds of `finegold_minors`
-that come from it, are compared with sympy's determinants; the gcd of the
+from one elimination, are compared with sympy's determinants; the gcd of the
 maximal minors of a matrix that is not square, from `minors_gcd` and from
 `finegold_minors` on fewer than n vertices, with the product of sympy's
 invariant factors.  Nothing else of `surfcomplex` is used, apart from
@@ -83,19 +83,43 @@ def test_det_matches_sympy(seed):
         assert det(IntMatrix.from_rows(rows)) == d, rows
 
 
-@pytest.mark.parametrize("n", range(4, 9))
-def test_facet_minors_match_sympy_determinants(n):
-    """n + 1 seeded classes in Z^n: facet j's gcd is |det| of the other n."""
-    rng = random.Random(n)
+def draw_classes(count, draw):
+    """count distinct classes from the primitive vectors that draw() returns."""
     vs = []
-    while len(vs) < n + 1:
-        v = [rng.randint(-9, 9) for _ in range(n)]
+    while len(vs) < count:
+        v = draw()
         if math.gcd(*v) == 1 and canonicalize(v) not in vs:
             vs.append(canonicalize(v))
-    cols = [v.coords for v in vs]
-    # The facet's columns as rows: the transpose has the same determinant.
-    want = [abs(Matrix(cols[:j] + cols[j + 1:]).det()) for j in range(n + 1)]
-    assert finegold_minors(vs) == want
+    return vs
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_facet_minors_match_sympy_determinants(n):
+    """n + 1 seeded classes in Z^n: facet j's gcd is |det| of the other n.
+    Three sets per n: generic classes, with no facet 0; the same with
+    vertex 1 made a +-combination of vertices 0 and 2, so the facets that
+    hold all three are 0 and, as the first n rows are dependent, a pivot
+    must come from the last row; and n + 1 classes in one hyperplane, so
+    every facet is 0 and the elimination stops early."""
+    rng = random.Random(n)
+    generic = draw_classes(n + 1, lambda: [rng.randint(-9, 9) for _ in range(n)])
+    a, b = generic[0].coords, generic[2].coords
+    combined = next(w for w in ([p + q for p, q in zip(a, b)], [p - q for p, q in zip(a, b)])
+                    if math.gcd(*w) == 1 and canonicalize(w) not in generic)
+    dependent = [generic[0], canonicalize(combined), *generic[2:]]
+    basis = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n - 1)]
+
+    def in_hyperplane():
+        xs = [rng.randint(-2, 2) for _ in basis]
+        return [sum(x * row[i] for x, row in zip(xs, basis)) for i in range(n)]
+
+    flat = draw_classes(n + 1, in_hyperplane)
+    for vs, zero_facets in ((generic, []), (dependent, list(range(3, n + 1))), (flat, list(range(n + 1)))):
+        cols = [v.coords for v in vs]
+        # The facet's columns as rows: the transpose has the same determinant.
+        want = [abs(Matrix(cols[:j] + cols[j + 1:]).det()) for j in range(n + 1)]
+        assert [j for j, w in enumerate(want) if w == 0] == zero_facets, cols
+        assert finegold_minors(vs) == want, cols
 
 
 def sympy_maximal_minors_gcd(rows):
@@ -140,10 +164,6 @@ def test_fewer_than_n_vertices_match_sympy_invariant_factors(n):
     n x k matrix is the product of its k invariant factors."""
     rng = random.Random(100 + n)
     for k in range(2, n):
-        vs = []
-        while len(vs) < k:
-            v = [rng.randint(-9, 9) for _ in range(n)]
-            if math.gcd(*v) == 1 and canonicalize(v) not in vs:
-                vs.append(canonicalize(v))
+        vs = draw_classes(k, lambda: [rng.randint(-9, 9) for _ in range(n)])
         cols = [v.coords for v in vs]
         assert finegold_minors(vs) == sympy_maximal_minors_gcd([list(r) for r in zip(*cols)]), cols
