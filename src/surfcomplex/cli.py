@@ -23,7 +23,7 @@ import sys
 from typing import Callable
 
 # Each runner imports its own layer, so a cold start compiles only that one.
-from .exactlin import _building
+from .exactlin import _any_digits, _building
 
 
 def parse_vector(text: str) -> tuple[int, ...]:
@@ -214,14 +214,8 @@ def _run_seifert_info(ns: argparse.Namespace) -> _Renderings:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # Exact at any magnitude: lift Python's int/str digit limit while
-    # parsing and printing, and restore it for in-process callers.
-    saved = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
+    with _any_digits():  # while parsing and printing
         return _run(argv)
-    finally:
-        sys.set_int_max_str_digits(saved)
 
 
 def _run(argv: list[str] | None) -> int:

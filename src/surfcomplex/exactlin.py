@@ -17,6 +17,7 @@ threads; every function is a pure function of its inputs.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from itertools import repeat
 from operator import mod, mul, or_, xor
@@ -43,6 +44,17 @@ class _building:
     def __exit__(self, kind, exc, tb) -> None:
         if isinstance(exc, ValueError):
             raise RuntimeError(f"construction failed: {exc}") from exc
+
+
+class _any_digits:
+    # Exact at any magnitude: lift Python's int/str digit limit inside the
+    # block and restore it for the caller.
+    def __enter__(self) -> None:
+        self.saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+
+    def __exit__(self, *exc) -> None:
+        sys.set_int_max_str_digits(self.saved)
 
 
 def _check_rows(rows: Sequence[Sequence[int]]) -> None:

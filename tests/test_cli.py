@@ -434,10 +434,10 @@ def test_broken_bezout_column_is_an_internal_error(capsys, monkeypatch, argv):
 def test_broken_seifert_report_is_an_internal_error(capsys, monkeypatch):
     """The tuple is validated before the report is built, so a ValueError
     from inside the report exits 1, not 2."""
-    def fault(rows):
+    def fault(inv, e):
         raise ValueError("injected fault")
 
-    monkeypatch.setattr(seifert, "invariant_factors", fault)
+    monkeypatch.setattr(seifert, "_h1", fault)
     code, out, err = run(capsys, "seifert", "info", "--genus", "0", "--b", "-1",
                          "--fiber", "2:1", "--fiber", "2:1")
     assert (code, out, err) == (1, "", "internal error: construction failed: injected fault\n")
@@ -454,8 +454,8 @@ def test_broken_seifert_report_is_an_internal_error(capsys, monkeypatch):
     (toruscomplex, "xgcd", ("farey", "neighbors", "1,0", "--height", "3")),
     (toruscomplex, "graph_to_dot", ("torus", "graph", "--height", "1", "--format", "dot")),
     (toruscomplex, "_witness_column", ("torus", "path", "2,3,5", "0,0,1")),
-    (seifert, "invariant_factors", ("seifert", "info", "--genus", "0", "--b", "-1",
-                                    "--fiber", "2:1", "--fiber", "2:1")),
+    (seifert, "_h1", ("seifert", "info", "--genus", "0", "--b", "-1",
+                      "--fiber", "2:1", "--fiber", "2:1")),
 ], ids=["simplex", "simplex-square", "simplex-facets", "simplex-surface", "graph", "distance",
         "diameter", "farey", "graph-dot", "path", "seifert"])
 def test_internal_fault_exits_1_in_every_subcommand(capsys, monkeypatch, module, name, argv):

@@ -15,6 +15,8 @@ again from that version, after `bench/verify.py` and the sympy oracle of
 argparse-error files were captured before the CLI's dispatch moved onto
 the parsers, and `help-torus-simplex` again when `torus simplex` lost its
 `--dim` option; argparse wraps help to $COLUMNS, so the test fixes it at 80.
+`seifert-48-fibers-json` (48 fibers of 30-digit alpha) was captured from
+the Smith-reduction `h1` that predates its closed form.
 """
 
 import json

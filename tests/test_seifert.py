@@ -1,14 +1,15 @@
 """Tests for the Seifert fibered space calculator.
 
-Two independent oracles live here: first homology recomputed by
-abelianizing the full fundamental-group presentation (exponent-sum matrix
-over every generator, reduced by Smith normal form), and torus-link
-component counts recomputed by tracing orbits of the return map on a
-transversal circle.
+Independent oracles live here: first homology recomputed by abelianizing
+the full fundamental-group presentation (exponent-sum matrix over every
+generator, reduced by Smith normal form) and by the Smith form of the
+(k+1) x (k+1) fiber block alone, and torus-link component counts
+recomputed by tracing orbits of the return map on a transversal circle.
 """
 
 import math
 import random
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
@@ -18,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from surfcomplex.cli import main
 from surfcomplex.exactlin import invariant_factors
 from surfcomplex.seifert import (
     SeifertInvariants,
@@ -57,6 +59,47 @@ def h1_from_full_presentation(inv):
     free = n - len(nonzero)
     torsion = tuple(d for d in nonzero if d > 1)
     return free, torsion
+
+
+def h1_from_fiber_block(inv):
+    """Free rank and torsion from the Smith form of the (k+1) x (k+1) block
+    over (x_1, ..., x_k, h): rows (1, ..., 1, -b) and alpha_i x_i + beta_i h."""
+    k = len(inv.fibers)
+    rows = [[1] * k + [-inv.b]]
+    for j, (alpha, beta) in enumerate(inv.fibers):
+        row = [0] * (k + 1)
+        row[j], row[k] = alpha, beta
+        rows.append(row)
+    diag = invariant_factors(rows)
+    return 2 * inv.genus + diag.count(0), tuple(d for d in diag if d > 1)
+
+
+def random_tuples(count, seed):
+    """Seeded valid tuples of up to seven fibers: alpha a product of 2, 3
+    and 5, 1, small, or up to 1e12; beta of either sign and unreduced, with
+    repeated fibers; every other tuple has its Euler number forced to 0 by
+    one more fiber and b."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        fibers = []
+        for _ in range(rng.randrange(7)):
+            alpha = rng.choice((
+                2 ** rng.randrange(5) * 3 ** rng.randrange(4) * 5 ** rng.randrange(3),
+                1, rng.randrange(2, 30), rng.randrange(2, 10**12)))
+            beta = rng.randrange(-3 * alpha - 3, 3 * alpha + 4)
+            while math.gcd(alpha, beta) != 1:
+                beta += 1
+            fibers += [(alpha, beta)] * rng.choice((1, 1, 1, 2, 3))
+        b = rng.randrange(-5, 6)
+        if i % 2:
+            frac = sum(Fraction(beta, alpha) for alpha, beta in fibers) % 1
+            if frac:
+                fibers.append((frac.denominator, -frac.numerator))
+            b = -int(sum(Fraction(beta, alpha) for alpha, beta in fibers))
+        rng.shuffle(fibers)
+        out.append(SFS(rng.randrange(3), b, tuple(fibers)))
+    return out
 
 
 def trace_link_components(m, n):
@@ -255,6 +298,32 @@ def test_h2_rank_of_48_fibers_with_30_digit_alphas_is_fast():
     assert time.perf_counter() - start < 0.1
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_h1_matches_smith_form_of_the_fiber_block(seed):
+    """The closed form against the Smith route it replaced, and the order
+    of H1 of a rational homology sphere, |e| * prod(alpha), which needs no
+    Smith form at all."""
+    tuples = random_tuples(1000, seed)
+    assert sum(euler_number(inv) == 0 for inv in tuples) >= 500
+    for inv in tuples:
+        mine = h1(inv)
+        assert (mine.free_rank, mine.torsion) == h1_from_fiber_block(inv), inv
+        e = euler_number(inv)
+        if e != 0:
+            assert math.prod(mine.torsion) == abs(e) * math.prod(a for a, _ in inv.fibers), inv
+
+
+def test_seifert_info_on_100_fibers_with_30_digit_alphas_is_fast(capsys):
+    rng = random.Random(1)
+    argv = ["seifert", "info", "--genus", "0", "--b", "1"]
+    for _ in range(100):
+        argv += ["--fiber", f"{rng.randrange(10**29, 10**30)}:1"]
+    start = time.perf_counter()
+    assert main(argv) == 0
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == ""
+
+
 def test_h1_matches_full_presentation_oracle_small_grid():
     pairs = fiber_pairs(5)
     for g in range(0, 3):
@@ -404,3 +473,20 @@ def test_info_json_reports_normalized_tuple():
     assert d["fibers"] == [[2, 1]]
     assert d["euler_number"] == "3/2"
     assert d["d"] is None
+
+
+def test_info_json_is_exact_past_the_int_str_digit_limit():
+    """The Euler number here has over 4,400 digits, past Python's default
+    limit of 4,300 for int/str conversion; the limit is restored after."""
+    a = 10**2199 + 1
+    e = 1 + Fraction(1, a) + Fraction(1, a + 2)
+    saved = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        want = f"{e.numerator}/{e.denominator}"
+        sys.set_int_max_str_digits(4300)
+        got = info_json_dict(SFS(0, 1, ((a, 1), (a + 2, 1))))["euler_number"]
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert got == want

@@ -6,18 +6,21 @@ and determinants alone.  `det`, and the facet gcds of `finegold_minors`
 from one elimination, are compared with sympy's determinants; the gcd of the
 maximal minors of a matrix that is not square, from `minors_gcd` and from
 `finegold_minors` on fewer than n vertices, with the product of sympy's
-invariant factors.  Nothing else of `surfcomplex` is used, apart from
-`canonicalize` to draw vertices.
+invariant factors.  The closed-form first homology of `seifert.h1` is
+compared with sympy's Smith form of the Seifert fiber block.  Nothing else
+of `surfcomplex` is used, apart from `canonicalize` to draw vertices.
 """
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from sympy import ZZ, Matrix
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from surfcomplex.exactlin import IntMatrix, det, invariant_factors, minors_gcd, smith_normal_form
+from surfcomplex.seifert import SeifertInvariants, h1
 from surfcomplex.toruscomplex import canonicalize, finegold_minors
 
 
@@ -167,3 +170,36 @@ def test_fewer_than_n_vertices_match_sympy_invariant_factors(n):
         vs = draw_classes(k, lambda: [rng.randint(-9, 9) for _ in range(n)])
         cols = [v.coords for v in vs]
         assert finegold_minors(vs) == sympy_maximal_minors_gcd([list(r) for r in zip(*cols)]), cols
+
+
+def test_seifert_h1_matches_sympy_on_the_fiber_block():
+    """200 seeded tuples of up to six fibers, alpha up to 1e6 or a product
+    of 2, 3 and 5, beta of either sign; in every other tuple one more fiber
+    and b force the Euler number to 0."""
+    rng = random.Random(19)
+    zero = 0
+    for n in range(200):
+        fibers = []
+        for _ in range(rng.randrange(6)):
+            alpha = rng.choice((2 ** rng.randrange(4) * 3 ** rng.randrange(3) * 5 ** rng.randrange(2),
+                                rng.randrange(1, 10**6)))
+            beta = rng.randrange(-2 * alpha, 2 * alpha + 1)
+            while math.gcd(alpha, beta) != 1:
+                beta += 1
+            fibers.append((alpha, beta))
+        b = rng.randrange(-4, 5)
+        if n % 2:
+            frac = sum(Fraction(beta, alpha) for alpha, beta in fibers) % 1
+            if frac:
+                fibers.append((frac.denominator, -frac.numerator))
+            b = -int(sum(Fraction(beta, alpha) for alpha, beta in fibers))
+        k = len(fibers)
+        rows = [[1] * k + [-b]] + [[alpha if c == j else 0 for c in range(k)] + [beta]
+                                   for j, (alpha, beta) in enumerate(fibers)]
+        D = sympy_snf(Matrix(rows), domain=ZZ)
+        diag = [abs(D[j, j]) for j in range(k + 1)]
+        zero += diag.count(0)
+        hom = h1(SeifertInvariants(1, b, tuple(fibers)))
+        assert hom.free_rank == 2 + diag.count(0), (b, fibers)
+        assert hom.torsion == tuple(d for d in diag if d > 1), (b, fibers)
+    assert zero >= 100
