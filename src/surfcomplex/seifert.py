@@ -200,7 +200,7 @@ def _h1(inv: SeifertInvariants, e: Fraction) -> HomologySummary:
     # two 1s so that s[-2] and s[-1] exist; s[-1] = lcm(alpha) is a
     # multiple of e's denominator.
     s = [1, 1] + [alpha for alpha, _ in inv.fibers]
-    for i in range(2, len(s)):
+    for i in range(len(s)):
         for j in range(i + 1, len(s)):
             if s[i] == 1:
                 break
