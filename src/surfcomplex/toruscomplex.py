@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress, islice, product, repeat, starmap
+from itertools import chain, compress, islice, product, repeat, starmap
 from math import gcd
 from operator import itemgetter, lt
 from typing import Sequence
@@ -395,9 +395,10 @@ def _members(bits: int, idx: Sequence[int]) -> list[int]:
 class ComplexGraph:
     """A height-truncated 1-skeleton: distinct vertices of one length n (in
     lexicographic order from `build_graph`), edges as strictly increasing
-    index pairs (i, j) with i < j; kind, n and height as `build_graph`
-    accepts them.  The vertex index and the adjacency bitsets are derived
-    on first use and kept; `build_graph` seeds them."""
+    pairs of int indices (i, j) with i < j; kind, n and height as
+    `build_graph` accepts them, all checked, edges in O(E).  The vertex index
+    and the adjacency bitsets are derived on first use and kept; `build_graph`
+    seeds the bitsets and checks them, not its edges, in O(V)."""
 
     kind: str
     height: int
@@ -405,19 +406,41 @@ class ComplexGraph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        vs, es = self.vertices, self.edges
-        _check_truncation(self.height, _vertex_length(vs), self.kind)
-        for v in vs:
-            if max(abs(e) for e in v.coords) > self.height:
-                raise ValueError(f"vertex ({v.label}) exceeds height {self.height}")
-        if len(set(vs)) != len(vs):
-            raise ValueError("repeated vertex")
+        self._check_vertices()
+        es = self.edges
+        if set(map(type, chain.from_iterable(es))) - {int}:
+            raise TypeError("edge indices must be integers")
         # Once sorted, es[0][0] is the least i.
         if es and not (set(map(len, es)) == {2} and all(map(lt, es, islice(es, 1, None)))
                        and es[0][0] >= 0 and all(starmap(lt, es))
-                       and max(map(itemgetter(1), es)) < len(vs)):
+                       and max(map(itemgetter(1), es)) < len(self.vertices)):
             raise ValueError("edges must be strictly increasing index pairs (i, j), "
                              "0 <= i < j < len(vertices)")
+
+    def _check_vertices(self) -> None:
+        _check_truncation(self.height, _vertex_length(self.vertices), self.kind)
+        for v in self.vertices:
+            if max(abs(e) for e in v.coords) > self.height:
+                raise ValueError(f"vertex ({v.label}) exceeds height {self.height}")
+        if len(set(self.vertices)) != len(self.vertices):
+            raise ValueError("repeated vertex")
+
+    @classmethod
+    def _of_bitsets(cls, kind: str, height: int, vertices: tuple, adj: tuple[int, ...]) -> ComplexGraph:
+        # build_graph's route: the vertex check and n rows in [0, 2^n), so the
+        # bits above the diagonal of ascending rows are increasing pairs i < j < n,
+        # sharing one index list's ints; a list first, as a growing tuple is resized.
+        g = object.__new__(cls)
+        g.__dict__.update(kind=kind, height=height, vertices=vertices, adjacency=adj)
+        g._check_vertices()
+        idx, edges = list(range(len(vertices))), []
+        if len(adj) != len(idx) or min(adj) < 0 or max(adj) >> len(idx):
+            raise ValueError(f"adjacency needs {len(idx)} rows in [0, 2^{len(idx)})")
+        for i, row in zip(idx, adj):
+            js = _members(row >> i + 1 << i + 1, idx)
+            edges += zip(repeat(i, len(js)), js)
+        g.__dict__["edges"] = tuple(edges)
+        return g
 
     @cached_property
     def _index(self) -> dict[ProjVector, int]:
@@ -454,9 +477,9 @@ def build_graph(kind: str, height: int, n: int = 3) -> ComplexGraph:
     "finegold-skeleton" kind also accepts other dimensions (n == 2 gives a
     fragment of the Farey graph), while "surface-complex-s1" is defined
     for n == 3 only.  Both kinds and every n take one path: adjacency
-    bitsets by residue classes (exactlin's `_coprime_minor_pairs`), edges
-    read off them, and the bitsets kept as the graph's `adjacency`.  The
-    edge list is sorted and independent of evaluation order.  Any other
+    bitsets by residue classes (exactlin's `_coprime_minor_pairs`), checked
+    in O(V) (n rows below 2^n), not edge by edge, then the sorted edges read
+    off them; the graph keeps the bitsets as its `adjacency`.  Any other
     kind, n < 2, a height not an integer >= 1, or over MAX_GRAPH_CANDIDATES
     (4096) candidate vectors (2*height+1)**n raise before any enumeration;
     then a ValueError is an internal fault and raises RuntimeError.
@@ -469,15 +492,7 @@ def build_graph(kind: str, height: int, n: int = 3) -> ComplexGraph:
     with _building():
         vertices = tuple(enumerate_vertices(n, height))
         adj = _coprime_minor_pairs([v.coords for v in vertices], height)
-        # Row i's bits above i, read off against one index list, so the edge
-        # tuples share its ints.  A list first: a tuple grown from an iterator
-        # is resized, and the garbage collector rescans it.
-        idx = list(range(len(vertices)))
-        edges = tuple([e for i, row in zip(idx, adj)
-                       for e in zip(repeat(i), _members(row >> i + 1 << i + 1, idx))])
-        g = ComplexGraph(kind=kind, height=height, vertices=vertices, edges=edges)
-    object.__setattr__(g, "adjacency", adj)
-    return g
+        return ComplexGraph._of_bitsets(kind, height, vertices, adj)
 
 
 def _bfs_layers(adj: tuple[int, ...], start: int):

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -418,6 +419,21 @@ def test_broken_vertex_list_is_an_internal_error(capsys, monkeypatch):
     monkeypatch.setattr(toruscomplex, "enumerate_vertices", repeated)
     code, out, err = run(capsys, "torus", "graph", "--height", "1")
     assert (code, out, err) == (1, "", "internal error: construction failed: repeated vertex\n")
+
+
+@pytest.mark.parametrize("bad_rows", [lambda adj: adj[:-1] + (adj[-1] | 1 << len(adj),),
+                                      lambda adj: adj[:-1] + (-1,),
+                                      lambda adj: adj[:-1]],
+                         ids=["bit-at-n", "negative-row", "row-missing"])
+def test_broken_adjacency_rows_are_an_internal_error(capsys, monkeypatch, bad_rows):
+    """build_graph checks the rows it reads its edges off: n of them, each
+    in [0, 2^n), for its n vertices (13 at height 1)."""
+    monkeypatch.setattr(toruscomplex, "_coprime_minor_pairs", _broken("_coprime_minor_pairs", bad_rows))
+    message = "construction failed: adjacency needs 13 rows in [0, 2^13)"
+    with pytest.raises(RuntimeError, match=re.escape(message)):
+        toruscomplex.build_graph("surface-complex-s1", 1)
+    code, out, err = run(capsys, "torus", "graph", "--height", "1")
+    assert (code, out, err) == (1, "", f"internal error: {message}\n")
 
 
 @pytest.mark.parametrize("argv", [("1,2,0", "1,0,0"), ("2,3,5", "0,0,1")])

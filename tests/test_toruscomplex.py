@@ -551,6 +551,18 @@ def test_seeded_adjacency_matches_derived(kind, n, heights):
         assert g.adjacency == derived.adjacency
 
 
+@pytest.mark.parametrize("kind, n, height", [("finegold-skeleton", 3, 5), ("surface-complex-s1", 3, 5),
+                                             ("finegold-skeleton", 4, 3), ("finegold-skeleton", 2, 31)])
+def test_bitset_checked_graph_passes_the_public_check(kind, n, height):
+    """build_graph checks its graph on the bitsets only; the public
+    constructor's O(E) edge check accepts the same graph at the largest
+    truncations, and derives the same adjacency from its edges."""
+    g = build_graph(kind, height, n)
+    derived = ComplexGraph(kind, height, g.vertices, tuple(map(tuple, g.edges)))
+    assert derived.edges == g.edges
+    assert "adjacency" not in vars(derived) and derived.adjacency == g.adjacency
+
+
 def test_graph_edges_match_the_pairwise_predicate():
     """The residue-class build against the minor gcds, pair by pair: the
     closed-form predicate at n = 3, the Smith-form `finegold_minors` at
@@ -676,6 +688,13 @@ def test_complex_graph_rejects_repeated_or_unsorted_edges():
             ComplexGraph("surface-complex-s1", 1, vs, edges)
     with pytest.raises(ValueError, match="repeated vertex"):
         ComplexGraph("surface-complex-s1", 1, vs + (V(0, 1, 0),), ())
+
+
+@pytest.mark.parametrize("edge", [(0.0, 1), (False, 1), (0, True)])
+def test_complex_graph_rejects_non_int_edge_indices(edge):
+    """Before, (0.0, 1) constructed and `adjacency` then raised."""
+    with pytest.raises(TypeError, match="^edge indices must be integers$"):
+        ComplexGraph("surface-complex-s1", 1, (V(1, 0, 0), V(0, 1, 0)), (edge,))
 
 
 # ----------------------------------------------------------------- farey
