@@ -20,7 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Callable
+from collections.abc import Callable
 
 # Each runner imports its own layer, so a cold start compiles only that one.
 from .exactlin import _any_digits, _building

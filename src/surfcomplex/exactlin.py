@@ -18,10 +18,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from itertools import repeat
 from operator import mod, mul, or_, xor
-from typing import Iterable, Sequence
 
 __all__ = [
     "IntMatrix",
@@ -57,6 +56,38 @@ class _any_digits:
         sys.set_int_max_str_digits(self.saved)
 
 
+class _Frozen:
+    # The frozen value classes' base: a subclass's fields are its own
+    # annotations, in order, with class-level defaults.  __init__ (which calls
+    # __post_init__ through the instance, if the class has one), __eq__,
+    # __hash__ and, with order=True, the four comparisons are compiled once per
+    # class as dataclass(frozen=True) writes them, specialised to its fields:
+    # generic ones, over *args and a key tuple, slow the hot paths.
+    def __init_subclass__(cls, order: bool = False) -> None:
+        fields = cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        params = (f"{f}=_cls.{f}" if f in cls.__dict__ else f for f in fields)
+        mine, theirs = (f"({''.join(f'{who}.{f},' for f in fields)})" for who in ("self", "other"))
+        src = [f"def __init__(self, {', '.join(params)}):",
+               *(f" _set(self, {f!r}, {f})" for f in fields),
+               " self.__post_init__()" if hasattr(cls, "__post_init__") else "",
+               f"def __hash__(self): return hash({mine})"]
+        for name, op in [("eq", "==")] + order * [("lt", "<"), ("le", "<="), ("gt", ">"), ("ge", ">=")]:
+            src.append(f"def __{name}__(self, other):\n if other.__class__ is self.__class__:"
+                       f" return {mine} {op} {theirs}\n return NotImplemented")
+        exec("\n".join(src), {"_set": object.__setattr__, "_cls": cls}, methods := {})
+        for name, method in methods.items():
+            setattr(cls, name, method)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, *value: object) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+
 def _check_rows(rows: Sequence[Sequence[int]]) -> None:
     # The one matrix check, for IntMatrix and raw rows alike.
     if not rows or not rows[0]:
@@ -69,8 +100,7 @@ def _check_rows(rows: Sequence[Sequence[int]]) -> None:
                 raise TypeError(f"non-integer entry {e!r}")
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(_Frozen):
     """Immutable integer matrix stored as a tuple of row tuples."""
 
     entries: tuple[tuple[int, ...], ...]
@@ -116,8 +146,7 @@ class IntMatrix:
         return [list(row) for row in self.entries]
 
 
-@dataclass(frozen=True)
-class SNFResult:
+class SNFResult(_Frozen):
     """Smith decomposition U @ A @ V == D with unimodular U and V.
 
     D is diagonal with nonnegative entries d1 | d2 | d3 | ... ; any sign is

@@ -19,9 +19,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from .exactlin import _any_digits, _building
+from .exactlin import _any_digits, _building, _Frozen
 
 __all__ = [
     "SeifertInvariants",
@@ -41,8 +40,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SeifertInvariants:
+class SeifertInvariants(_Frozen):
     """Invariant tuple <g, b, (alpha_1, beta_1), ..., (alpha_k, beta_k)>.
 
     genus is the (orientable) base genus, b an integer, and each fiber pair
@@ -106,8 +104,7 @@ def horizontal_degree(inv: SeifertInvariants) -> int:
     return math.lcm(*(alpha for alpha, _ in inv.fibers))
 
 
-@dataclass(frozen=True)
-class PresentationData:
+class PresentationData(_Frozen):
     """Fundamental-group presentation: generator names and Tietze relators.
 
     Generators are ordered a1, b1, ..., ag, bg, x1, ..., xk, h.  A relator
@@ -160,8 +157,7 @@ def pi1_presentation(inv: SeifertInvariants) -> PresentationData:
     return PresentationData(tuple(names), tuple(relators))
 
 
-@dataclass(frozen=True)
-class HomologySummary:
+class HomologySummary(_Frozen):
     """First homology: free rank, exact torsion, and whether the
     distinguished extra generator is the fiber class itself.
 
@@ -242,8 +238,7 @@ class Verdict(enum.Enum):
     PRODUCT_S1_CONNECTED = "ProductS1Connected"
 
 
-@dataclass(frozen=True)
-class StructureReport:
+class StructureReport(_Frozen):
     """Classifier output for the structure of the surface complex.
 
     base_surface is (genus, punctures) of the surface obtained from the

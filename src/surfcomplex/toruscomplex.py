@@ -30,14 +30,14 @@ the output is a self-certifying object rather than a bare assertion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from functools import cached_property
 from itertools import chain, compress, islice, product, repeat, starmap
 from math import gcd
 from operator import itemgetter, lt
-from typing import Sequence
 
-from .exactlin import IntMatrix, _building, _coprime_minor_pairs, _eliminate, content, minors_gcd, xgcd
+from .exactlin import (IntMatrix, _building, _coprime_minor_pairs, _eliminate, _Frozen, content,
+                       minors_gcd, xgcd)
 
 __all__ = [
     "ProjVector",
@@ -63,8 +63,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
-class ProjVector:
+class ProjVector(_Frozen, order=True):
     """A primitive integer vector up to sign, in canonical form.
 
     Canonical means content 1 and positive first nonzero coordinate, so
@@ -238,8 +237,7 @@ def edge_witness(a: ProjVector, b: ProjVector) -> IntMatrix:
     return _one_hop(a, b, c).witnesses[0]
 
 
-@dataclass(frozen=True)
-class PathCertificate:
+class PathCertificate(_Frozen):
     """A path of at most two edges, carrying its own proof.
 
     `waypoints` lists the visited classes (two or three distinct ones);
@@ -391,8 +389,7 @@ def _members(bits: int, idx: Sequence[int]) -> list[int]:
     return list(compress(idx, bin(bits)[:1:-1].encode().translate(_BIT_FLAGS)))
 
 
-@dataclass(frozen=True)
-class ComplexGraph:
+class ComplexGraph(_Frozen):
     """A height-truncated 1-skeleton: distinct vertices of one length n (in
     lexicographic order from `build_graph`), edges as strictly increasing
     pairs of int indices (i, j) with i < j; kind, n and height as
@@ -427,9 +424,10 @@ class ComplexGraph:
 
     @classmethod
     def _of_bitsets(cls, kind: str, height: int, vertices: tuple, adj: tuple[int, ...]) -> ComplexGraph:
-        # build_graph's route: the vertex check and n rows in [0, 2^n), so the
-        # bits above the diagonal of ascending rows are increasing pairs i < j < n,
-        # sharing one index list's ints; a list first, as a growing tuple is resized.
+        # build_graph's route: the vertex check, n rows in [0, 2^n) and no bit on the
+        # diagonal (symmetry is trusted), so the bits above it of ascending rows are
+        # increasing pairs i < j < n, sharing one index list's ints; a list first, as a
+        # growing tuple is resized.
         g = object.__new__(cls)
         g.__dict__.update(kind=kind, height=height, vertices=vertices, adjacency=adj)
         g._check_vertices()
@@ -437,7 +435,9 @@ class ComplexGraph:
         if len(adj) != len(idx) or min(adj) < 0 or max(adj) >> len(idx):
             raise ValueError(f"adjacency needs {len(idx)} rows in [0, 2^{len(idx)})")
         for i, row in zip(idx, adj):
-            js = _members(row >> i + 1 << i + 1, idx)
+            if (upper := row >> i) & 1:
+                raise ValueError(f"adjacency row {i} has its own bit set")
+            js = _members(upper >> 1 << i + 1, idx)
             edges += zip(repeat(i, len(js)), js)
         g.__dict__["edges"] = tuple(edges)
         return g
@@ -478,11 +478,12 @@ def build_graph(kind: str, height: int, n: int = 3) -> ComplexGraph:
     fragment of the Farey graph), while "surface-complex-s1" is defined
     for n == 3 only.  Both kinds and every n take one path: adjacency
     bitsets by residue classes (exactlin's `_coprime_minor_pairs`), checked
-    in O(V) (n rows below 2^n), not edge by edge, then the sorted edges read
-    off them; the graph keeps the bitsets as its `adjacency`.  Any other
-    kind, n < 2, a height not an integer >= 1, or over MAX_GRAPH_CANDIDATES
-    (4096) candidate vectors (2*height+1)**n raise before any enumeration;
-    then a ValueError is an internal fault and raises RuntimeError.
+    in O(V) (n rows below 2^n, none with its own bit set), not edge by edge,
+    then the sorted edges read off them; the graph keeps the bitsets as its
+    `adjacency`.  Any other kind, n < 2, a height not an integer >= 1, or
+    over MAX_GRAPH_CANDIDATES (4096) candidate vectors (2*height+1)**n raise
+    before any enumeration; then a ValueError is an internal fault and
+    raises RuntimeError.
     """
     _check_truncation(height, n, kind)
     # With n >= 2 and height >= 1, (2h+1)^n >= 2^n.

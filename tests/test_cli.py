@@ -421,15 +421,21 @@ def test_broken_vertex_list_is_an_internal_error(capsys, monkeypatch):
     assert (code, out, err) == (1, "", "internal error: construction failed: repeated vertex\n")
 
 
-@pytest.mark.parametrize("bad_rows", [lambda adj: adj[:-1] + (adj[-1] | 1 << len(adj),),
-                                      lambda adj: adj[:-1] + (-1,),
-                                      lambda adj: adj[:-1]],
-                         ids=["bit-at-n", "negative-row", "row-missing"])
-def test_broken_adjacency_rows_are_an_internal_error(capsys, monkeypatch, bad_rows):
+_ROW_COUNT = "adjacency needs 13 rows in [0, 2^13)"
+
+
+@pytest.mark.parametrize("bad_rows, fault", [
+    (lambda adj: adj[:-1] + (adj[-1] | 1 << len(adj),), _ROW_COUNT),
+    (lambda adj: adj[:-1] + (-1,), _ROW_COUNT),
+    (lambda adj: adj[:-1], _ROW_COUNT),
+    (lambda adj: tuple(row | 1 << i for i, row in enumerate(adj)), "adjacency row 0 has its own bit set"),
+], ids=["bit-at-n", "negative-row", "row-missing", "own-bit"])
+def test_broken_adjacency_rows_are_an_internal_error(capsys, monkeypatch, bad_rows, fault):
     """build_graph checks the rows it reads its edges off: n of them, each
-    in [0, 2^n), for its n vertices (13 at height 1)."""
+    in [0, 2^n) and none with its own bit set, for its n vertices (13 at
+    height 1)."""
     monkeypatch.setattr(toruscomplex, "_coprime_minor_pairs", _broken("_coprime_minor_pairs", bad_rows))
-    message = "construction failed: adjacency needs 13 rows in [0, 2^13)"
+    message = f"construction failed: {fault}"
     with pytest.raises(RuntimeError, match=re.escape(message)):
         toruscomplex.build_graph("surface-complex-s1", 1)
     code, out, err = run(capsys, "torus", "graph", "--height", "1")
