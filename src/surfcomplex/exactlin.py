@@ -5,10 +5,9 @@ the kernels the rest of the package is built on: extended gcd with a
 deterministic minimal Bezout pair, fraction-free determinants, Smith
 normal form with unimodular certificate matrices, gcds of k x k minors
 (maximal ones by elimination, others from invariant factors), and
-completion of a primitive vector to a determinant-1 matrix.  Its two
-modular steps are exact: maximal minors work mod a nonzero minor d, with
-d*Z^k in the row lattice, and coprime 2x2 minors of bounded vectors are
-found mod every prime up to a bound on the minors.
+completion of a primitive vector to a determinant-1 matrix.  Its
+modular step is exact: maximal minors work mod a nonzero minor d, with
+d*Z^k in the row lattice.
 
 All values are immutable once constructed and safe to share between
 threads; every function is a pure function of its inputs.
@@ -19,8 +18,6 @@ from __future__ import annotations
 import math
 import sys
 from collections.abc import Iterable, Sequence
-from itertools import repeat
-from operator import mod, mul, or_, xor
 
 __all__ = [
     "IntMatrix",
@@ -165,30 +162,21 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     """Extended gcd with a deterministic minimal Bezout pair.
 
     Returns (g, x, y) with a*x + b*y == g and g == gcd(a, b) >= 0.  Among
-    all Bezout pairs the one minimizing (|x|, |y|) is returned, preferring
-    x > 0 on the (degenerate) ties; the result is unique and reproducible,
-    with |x| <= max(1, |b/g|) and |y| <= max(1, |a/g|).  xgcd(0, 0) is
-    (0, 0, 0).
+    all Bezout pairs the one minimizing (|x|, |y|) is returned; it is
+    unique, with |x| <= |b|/(2g) for b != 0 and |y| <= max(1, |a/g|).
+    xgcd(0, 0) is (0, 0, 0).
     """
-    if a == 0 and b == 0:
-        return (0, 0, 0)
     if b == 0:
-        return (abs(a), 1 if a > 0 else -1, 0)
-    if a == 0:
-        return (abs(b), 0, 1 if b > 0 else -1)
+        return (abs(a), (a > 0) - (a < 0), 0)
     g = math.gcd(a, b)
-    # The solutions x form the class of (a/g)^-1 mod |b|/g, computed in C;
-    # the minimal pair is one of its two representatives nearest zero.
+    # The solutions x are the class of (a/g)^-1 mod |b|/g (Knuth, TAOCP 4.5.2),
+    # so the minimal pair is at its representative nearest 0.  In a tie the two
+    # y differ by a/g, and the smaller |y| is at x - step exactly when a < 0.
     step = abs(b) // g
-    x_hi = pow(a // g, -1, step)
-    best: tuple[tuple[int, int, int], int, int] | None = None
-    for cand in (x_hi, x_hi - step):
-        y = (g - a * cand) // b
-        key = (abs(cand), abs(y), 0 if cand > 0 else 1)
-        if best is None or key < best[0]:
-            best = (key, cand, y)
-    assert best is not None
-    return (g, best[1], best[2])
+    x = pow(a // g, -1, step)
+    if 2 * x > step or (2 * x == step and a < 0):
+        x -= step
+    return (g, x, (g - a * x) // b)
 
 
 def content(v: Sequence[int]) -> int:
@@ -266,40 +254,6 @@ def minors_gcd(A: IntMatrix, k: int) -> int:
     rows = A.entries if A.rows >= A.cols else tuple(zip(*A.entries))
     d = abs(_eliminate([list(row) for row in rows], k))
     return d if d == 0 or len(rows) == k else _lattice_index(rows, d)
-
-
-def _coprime_minor_pairs(vectors: Sequence[tuple[int, ...]], height: int) -> tuple[int, ...]:
-    # Bitsets of the pairs with coprime 2x2 minors (minors_gcd 1 on the
-    # columns (u v)), all at once: bit j of entry i is set exactly when
-    # vectors i and j form such a pair.  The vectors are primitive, pairwise
-    # not proportional, with first nonzero entry positive and every entry of
-    # absolute value <= height.
-    # A prime p divides every 2x2 minor of (u v) exactly when u and v are
-    # the same point of P^{n-1}(F_p) (neither is 0 mod p, being primitive).
-    # The minors are at most 2*height^2 in size and not all 0, so only the
-    # primes up to that bound can, and checking all of them keeps the result
-    # exact.  For each such prime the vectors are bucketed by their point
-    # mod p, scaled by the inverse of the first entry that is nonzero mod p,
-    # and clash[i] collects the buckets of vector i, which hold i itself.
-    bits = [1 << i for i in range(len(vectors))]
-    clash = [0] * len(vectors)
-    cols = list(zip(*vectors))
-    # The first nonzero entry lies in [1, height]: a unit mod every p > height.
-    firsts = [next(filter(None, v)) for v in vectors]
-    for p in range(2, 2 * height * height + 1):
-        if any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
-            continue
-        leads = firsts if p > height else [next(e for e in v if e % p) % p for v in vectors]
-        # Every lead is a residue in [1, min(p - 1, height)].
-        inv = [0, *map(pow, range(1, min(p, height + 1)), repeat(-1), repeat(p))]
-        scale = list(map(inv.__getitem__, leads))
-        keys = list(zip(*[map(mod, map(mul, col, scale), repeat(p)) for col in cols]))
-        buckets: dict[tuple[int, ...], int] = {}
-        for k, b in zip(keys, bits):
-            buckets[k] = buckets.get(k, 0) | b
-        clash = list(map(or_, clash, map(buckets.__getitem__, keys)))
-    full = (1 << len(vectors)) - 1
-    return tuple(map(xor, repeat(full), clash))
 
 
 def _combine_rows(M: list[list[int]], t: int, i: int, x: int, y: int, p: int, q: int) -> None:

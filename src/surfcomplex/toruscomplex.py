@@ -33,11 +33,10 @@ from __future__ import annotations
 from collections.abc import Sequence
 from functools import cached_property
 from itertools import chain, compress, islice, product, repeat, starmap
-from math import gcd
-from operator import itemgetter, lt
+from math import gcd, isqrt
+from operator import itemgetter, lt, mod, mul, or_, xor
 
-from .exactlin import (IntMatrix, _building, _coprime_minor_pairs, _eliminate, _Frozen, content,
-                       minors_gcd, xgcd)
+from .exactlin import IntMatrix, _building, _eliminate, _Frozen, content, minors_gcd, xgcd
 
 __all__ = [
     "ProjVector",
@@ -143,7 +142,7 @@ def intersection_components(a: ProjVector, b: ProjVector) -> int:
     minors of (a b); always >= 1 for distinct classes.  The one edge
     predicate: (a, b) is an edge of the surface-complex graph of T^3, its
     tori meeting in a single curve, exactly when it is 1.  `build_graph`
-    gets the same edges, at every n, from exactlin's `_coprime_minor_pairs`.
+    gets the same edges, at every n, from `_coprime_minor_pairs`.
     """
     return _pair(a, b)[1]
 
@@ -166,7 +165,7 @@ def finegold_minors(vs: Sequence[ProjVector]) -> int | list[int]:
     if not 2 <= len(vs) <= n + 1:
         raise ValueError(f"simplex size {len(vs)} out of range for dimension {n}")
     if len(set(vs)) != len(vs):
-        raise ValueError("repeated projective class")
+        raise ValueError("vertices must be distinct projective classes")
     cols = [v.coords for v in vs]
     with _building():
         if len(vs) <= n:
@@ -389,6 +388,40 @@ def _members(bits: int, idx: Sequence[int]) -> list[int]:
     return list(compress(idx, bin(bits)[:1:-1].encode().translate(_BIT_FLAGS)))
 
 
+def _coprime_minor_pairs(vectors: Sequence[tuple[int, ...]], height: int) -> tuple[int, ...]:
+    # Bitsets of the pairs with coprime 2x2 minors (minors_gcd 1 on the
+    # columns (u v)), all at once: bit j of entry i is set exactly when
+    # vectors i and j form such a pair.  The vectors are primitive, pairwise
+    # not proportional, with first nonzero entry positive and every entry of
+    # absolute value <= height.
+    # A prime p divides every 2x2 minor of (u v) exactly when u and v are
+    # the same point of P^{n-1}(F_p) (neither is 0 mod p, being primitive).
+    # The minors are at most 2*height^2 in size and not all 0, so only the
+    # primes up to that bound can, and checking all of them keeps the result
+    # exact.  For each such prime the vectors are bucketed by their point
+    # mod p, scaled by the inverse of the first entry that is nonzero mod p,
+    # and clash[i] collects the buckets of vector i, which hold i itself.
+    bits = [1 << i for i in range(len(vectors))]
+    clash = [0] * len(vectors)
+    cols = list(zip(*vectors))
+    # The first nonzero entry lies in [1, height]: a unit mod every p > height.
+    firsts = [next(filter(None, v)) for v in vectors]
+    for p in range(2, 2 * height * height + 1):
+        if any(p % q == 0 for q in range(2, isqrt(p) + 1)):
+            continue
+        leads = firsts if p > height else [next(e for e in v if e % p) % p for v in vectors]
+        # Every lead is a residue in [1, min(p - 1, height)].
+        inv = [0, *map(pow, range(1, min(p, height + 1)), repeat(-1), repeat(p))]
+        scale = list(map(inv.__getitem__, leads))
+        keys = list(zip(*[map(mod, map(mul, col, scale), repeat(p)) for col in cols]))
+        buckets: dict[tuple[int, ...], int] = {}
+        for k, b in zip(keys, bits):
+            buckets[k] = buckets.get(k, 0) | b
+        clash = list(map(or_, clash, map(buckets.__getitem__, keys)))
+    full = (1 << len(vectors)) - 1
+    return tuple(map(xor, repeat(full), clash))
+
+
 class ComplexGraph(_Frozen):
     """A height-truncated 1-skeleton: distinct vertices of one length n (in
     lexicographic order from `build_graph`), edges as strictly increasing
@@ -477,7 +510,7 @@ def build_graph(kind: str, height: int, n: int = 3) -> ComplexGraph:
     "finegold-skeleton" kind also accepts other dimensions (n == 2 gives a
     fragment of the Farey graph), while "surface-complex-s1" is defined
     for n == 3 only.  Both kinds and every n take one path: adjacency
-    bitsets by residue classes (exactlin's `_coprime_minor_pairs`), checked
+    bitsets by residue classes (`_coprime_minor_pairs`), checked
     in O(V) (n rows below 2^n, none with its own bit set), not edge by edge,
     then the sorted edges read off them; the graph keeps the bitsets as its
     `adjacency`.  Any other kind, n < 2, a height not an integer >= 1, or

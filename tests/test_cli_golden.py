@@ -17,6 +17,9 @@ the parsers, and `help-torus-simplex` again when `torus simplex` lost its
 `--dim` option; argparse wraps help to $COLUMNS, so the test fixes it at 80.
 `seifert-48-fibers-json` (48 fibers of 30-digit alpha) was captured from
 the Smith-reduction `h1` that predates its closed form.
+`simplex-finegold-repeated-class` was captured when `finegold_minors`
+took the wording of `torus path` (and of `--complex surface`) for a
+repeated class.
 """
 
 import json

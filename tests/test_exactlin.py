@@ -142,6 +142,9 @@ def test_xgcd_examples():
     # 9*(-1) + (-10)*(-1) == 1: the sign-normalized minimal pair.
     assert xgcd(9, -10) == (1, -1, -1)
     assert xgcd(0, 0) == (0, 0, 0)
+    # Ties on |x| (2|x| == |b|/g): the sign of a picks the representative.
+    assert xgcd(3, 2) == (1, 1, -1)
+    assert xgcd(-11, 2) == (1, -1, -5)
 
 
 def test_xgcd_matches_brute_force_minimal_pair():
@@ -169,6 +172,8 @@ def test_xgcd_identity_and_bounds(a, b):
     if g != 0:
         assert abs(x) <= max(1, abs(b) // g)
         assert abs(y) <= max(1, abs(a) // g)
+    if b != 0:
+        assert 2 * abs(x) * g <= abs(b)
 
 
 # --------------------------------------------------------------- content

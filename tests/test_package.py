@@ -178,3 +178,26 @@ def test_package_imports_only_the_standard_library():
                 assert top in sys.stdlib_module_names or top == "surfcomplex", (path.name, name)
     pyproject = (root / "pyproject.toml").read_text()
     assert re.findall(r"^dependencies\s*=\s*(.*)$", pyproject, re.M) == ["[]"]
+
+
+def _names_read(node: ast.AST) -> set[str]:
+    # The names an expression or module reads, string annotations included.
+    names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+    for n in ast.walk(node):
+        for note in (getattr(n, "annotation", None), getattr(n, "returns", None)):
+            if isinstance(note, ast.Constant) and isinstance(note.value, str):
+                names |= _names_read(ast.parse(note.value, mode="eval"))
+    return names
+
+
+def test_package_imports_no_unused_name():
+    """Every name an import in the package binds (`__future__` features
+    aside) is read somewhere in its module, in code or in an annotation."""
+    root = Path(__file__).resolve().parent.parent
+    for path in sorted((root / "src" / "surfcomplex").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        bound = {(alias.asname or alias.name).split(".")[0]
+                 for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                 and getattr(node, "module", "") != "__future__" for alias in node.names}
+        unused = bound - _names_read(tree)
+        assert not unused, (path.name, sorted(unused))

@@ -163,7 +163,7 @@ def test_finegold_minors_values():
     assert finegold_minors([V(1, 0, 0), V(1, 2, 0)]) == 2
     assert finegold_minors([V(1, 0, 0), V(0, 1, 0), V(0, 0, 1), V(1, 1, 2)]) == [1, 1, 2, 1]
     assert finegold_minors([V(1, 0), V(0, 1), V(1, 1)]) == [1, 1, 1]
-    with pytest.raises(ValueError, match="repeated"):
+    with pytest.raises(ValueError, match="vertices must be distinct projective classes"):
         finegold_minors([V(1, 0, 0)] * 2)
     with pytest.raises(ValueError, match="all vertices must have length 3"):
         finegold_minors([V(1, 0, 0), V(0, 1)])
