@@ -271,9 +271,10 @@ def _combine_cols(M: list[list[int]], t: int, j: int, x: int, y: int, p: int, q:
         row[j] = p * w - q * u
 
 
-def _swap_cols(M: list[list[int]], a: int, b: int) -> None:
-    for row in M:
-        row[a], row[b] = row[b], row[a]
+def _clearing(a: int, b: int) -> tuple[int, int, int, int]:
+    # The combine's (x, y, p, q) that clears b against the pivot a.
+    g, x, y = (a, 1, 0) if b % a == 0 else xgcd(a, b)
+    return x, y, a // g, b // g
 
 
 def _snf_core(D: list[list[int]], m: int, n: int) -> None:
@@ -281,43 +282,23 @@ def _snf_core(D: list[list[int]], m: int, n: int) -> None:
     row operations act on whole rows and the column operations on every row."""
     size = min(m, n)
 
-    # When the pivot divides the target, plain subtraction clears it and
-    # leaves the pivot row/column untouched; otherwise a gcd combine
-    # strictly shrinks |D[t][t]|, so alternating row and column passes
-    # terminates.
+    # One unimodular 2x2 combine (Kannan and Bachem 1979) clears each target
+    # b against the pivot a: with Bezout pair (1, 0) when a | b, which keeps
+    # the pivot line and subtracts b/a times it from the target line, else
+    # with xgcd(a, b), which strictly shrinks |D[t][t]|, so alternating row
+    # and column passes terminate.  A combine changes only those two lines.
 
     def clear_col(t: int) -> bool:
-        changed = False
-        for i in range(t + 1, m):
-            b = D[i][t]
-            if b == 0:
-                continue
-            a = D[t][t]
-            if b % a == 0:
-                q = b // a
-                D[i] = [w - q * u for u, w in zip(D[t], D[i])]
-            else:
-                g, x, y = xgcd(a, b)
-                _combine_rows(D, t, i, x, y, a // g, b // g)
-            changed = True
-        return changed
+        targets = [i for i in range(t + 1, m) if D[i][t]]
+        for i in targets:
+            _combine_rows(D, t, i, *_clearing(D[t][t], D[i][t]))
+        return bool(targets)
 
     def clear_row(t: int) -> bool:
-        changed = False
-        for j in range(t + 1, n):
-            b = D[t][j]
-            if b == 0:
-                continue
-            a = D[t][t]
-            if b % a == 0:
-                q = b // a
-                for row in D:
-                    row[j] -= q * row[t]
-            else:
-                g, x, y = xgcd(a, b)
-                _combine_cols(D, t, j, x, y, a // g, b // g)
-            changed = True
-        return changed
+        targets = [j for j in range(t + 1, n) if D[t][j]]
+        for j in targets:
+            _combine_cols(D, t, j, *_clearing(D[t][t], D[t][j]))
+        return bool(targets)
 
     def reduce_at(t: int) -> None:
         clear_col(t)
@@ -326,24 +307,16 @@ def _snf_core(D: list[list[int]], m: int, n: int) -> None:
                 break
 
     for t in range(size):
-        # Deterministic pivot: smallest nonzero absolute value, scanning
-        # rows first, then columns.
-        best = None
-        piv = None
-        for i in range(t, m):
-            for j in range(t, n):
-                v = D[i][j]
-                if v != 0:
-                    key = (abs(v), i, j)
-                    if best is None or key < best:
-                        best, piv = key, (i, j)
-        if piv is None:
+        # Deterministic pivot: smallest nonzero absolute value, rows first,
+        # then columns.  Swapping a line with itself does nothing.
+        pivot = min(((abs(v), i, j) for i in range(t, m) for j, v in enumerate(D[i][t:n], t) if v),
+                    default=None)
+        if pivot is None:
             break
-        i, j = piv
-        if i != t:
-            D[t], D[i] = D[i], D[t]
-        if j != t:
-            _swap_cols(D, t, j)
+        _, i, j = pivot
+        D[t], D[i] = D[i], D[t]
+        for row in D:
+            row[t], row[j] = row[j], row[t]
         reduce_at(t)
 
     # Enforce the divisibility chain d1 | d2 | ... by splicing offending

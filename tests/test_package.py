@@ -182,7 +182,7 @@ def test_package_imports_only_the_standard_library():
 
 def _names_read(node: ast.AST) -> set[str]:
     # The names an expression or module reads, string annotations included.
-    names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+    names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
     for n in ast.walk(node):
         for note in (getattr(n, "annotation", None), getattr(n, "returns", None)):
             if isinstance(note, ast.Constant) and isinstance(note.value, str):
@@ -201,3 +201,30 @@ def test_package_imports_no_unused_name():
                  and getattr(node, "module", "") != "__future__" for alias in node.names}
         unused = bound - _names_read(tree)
         assert not unused, (path.name, sorted(unused))
+
+
+def test_package_private_names_are_all_used():
+    """Every private name a module of the package binds at top level is
+    read somewhere in the package: as a name, an attribute, an imported
+    name or in an annotation.  A helper whose last caller went is dead code."""
+    root = Path(__file__).resolve().parent.parent
+    trees = {path.name: ast.parse(path.read_text(), str(path))
+             for path in sorted((root / "src" / "surfcomplex").glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        read |= _names_read(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    for name, tree in trees.items():
+        bound = set()
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                bound.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                bound.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+        unused = {b for b in bound if b.startswith("_") and not b.startswith("__")} - read
+        assert not unused, (name, sorted(unused))
