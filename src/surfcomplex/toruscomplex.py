@@ -191,15 +191,22 @@ def _det3(x: Sequence[int], y: Sequence[int], z: Sequence[int]) -> int:
     return _dot(x, cross_product(y, z))
 
 
-def _witness_column(c: Sequence[int], u: Sequence[int], v: Sequence[int]) -> tuple[int, int, int]:
-    # The Bezout vector w of c (c . w == gcd(c), from two xgcd calls) less
-    # s*u + t*v, (s, t) the coordinates of w's projection onto the plane of
-    # (u, v) rounded half up (Babai's nearest-plane step), so the result
-    # depends only on w modulo Z*u + Z*v and is symmetric in u and v.  With
-    # c = u x v it is the third column of the witness of the edge (u, v).
+def _bezout(c: Sequence[int]) -> tuple[int, int, int]:
+    # Some w with c . w == gcd(c), from two xgcd calls.
     g, x, y = xgcd(c[0], c[1])
     _, p, q = xgcd(g, c[2])
-    w = (p * x, p * y, q)
+    return (p * x, p * y, q)
+
+
+def _exact_combo(p: Sequence[int], q: Sequence[int], s: int, t: int, g: int) -> tuple[int, int, int]:
+    # (s*p - t*q)/g, for a combination whose entries g divides.
+    return ((s * p[0] - t * q[0]) // g, (s * p[1] - t * q[1]) // g, (s * p[2] - t * q[2]) // g)
+
+
+def _reduced(w: Sequence[int], u: Sequence[int], v: Sequence[int]) -> tuple[int, int, int]:
+    # w less s*u + t*v, (s, t) the coordinates of w's projection onto the
+    # plane of (u, v) rounded half up (Babai's nearest-plane step), so the
+    # result depends only on w modulo Z*u + Z*v and is symmetric in u and v.
     uu, vv, uv = _dot(u, u), _dot(v, v), _dot(u, v)
     wu, wv = _dot(w, u), _dot(w, v)
     d = uu * vv - uv * uv
@@ -289,18 +296,18 @@ class PathCertificate(_Frozen):
 def two_hop_path(a: ProjVector, b: ProjVector) -> PathCertificate:
     """Constructive two-edge path from a to b, never taking a shortcut.
 
-    With n = (b x a)/gcd(b x a), every m with n . m == 1 is adjacent to a:
-    a is primitive in the kernel of n, so it extends to a basis (a, k) of
-    that kernel, and (a, k, m) is a basis of Z^3.  The same holds for b.
-    The middle vertex is the Bezout vector of b x a, which is such an m,
+    With g = gcd(b x a) and n = (b x a)/g, every m with n . m == 1 is
+    adjacent to a: a is primitive in the kernel of n, so it extends to a
+    basis (a, k) of that kernel, and (a, k, m) is a basis of Z^3; likewise
+    for b.  The middle vertex is the Bezout vector of b x a, such an m,
     reduced modulo (a, b) as in `edge_witness` and canonicalized: its
     Euclidean norm is at most (|a| + |b|)/2 + 1, and no witness entry
-    exceeds |a| + |b| + 1.  With w the third column of the witness of
-    (m, b), the transform T = (w | m | b)^-1, with rows
-    (m x b, b x w, w x m), sends b to (0,0,1) and m to (0,1,0), in the
-    plane z == 0.
+    exceeds |a| + |b| + 1.  As b == beta*a mod g, k = (b - beta*a)/g and
+    k' = (a - beta^-1*b)/g, reduced up to sign, are the witness columns of
+    (a, m) and (m, b).  With w that of (m, b), T = (w | m | b)^-1, with
+    rows (m x b, b x w, w x m), sends b to (0,0,1) and m to (0,1,0).
     """
-    return _two_hop(a, b, _pair(a, b)[0])
+    return _two_hop(a, b, *_pair(a, b))
 
 
 def connect_path(a: ProjVector, b: ProjVector) -> PathCertificate:
@@ -312,7 +319,7 @@ def connect_path(a: ProjVector, b: ProjVector) -> PathCertificate:
     internal fault and raises RuntimeError.
     """
     c, g = _pair(a, b)
-    return (_one_hop if g == 1 else _two_hop)(a, b, c)
+    return _one_hop(a, b, c) if g == 1 else _two_hop(a, b, c, g)
 
 
 # The transform of every one-hop certificate, shared: IntMatrix is frozen.
@@ -323,20 +330,26 @@ def _one_hop(a: ProjVector, b: ProjVector, c: tuple[int, int, int]) -> PathCerti
     # The certificate of the edge (a, b), from c = a x b of its `_pair`.
     x, y = a.coords, b.coords
     with _building():
-        witness = IntMatrix(tuple(zip(x, y, _witness_column(c, x, y))))
+        witness = IntMatrix(tuple(zip(x, y, _reduced(_bezout(c), x, y))))
         return PathCertificate(waypoints=(a, b), witnesses=(witness,), transform=_IDENTITY_3)
 
 
-def _two_hop(a: ProjVector, b: ProjVector, c: tuple[int, int, int]) -> PathCertificate:
-    # The route of `two_hop_path`; its middle vertex reduces -c = b x a.
+def _two_hop(a: ProjVector, b: ProjVector, c: tuple[int, int, int], g: int) -> PathCertificate:
+    # The route of `two_hop_path`, from c = a x b and g = gcd(c) of its `_pair`.
     x, y = a.coords, b.coords
     with _building():
-        mid = canonicalize(_witness_column((-c[0], -c[1], -c[2]), x, y))
+        mid = canonicalize(_reduced(_bezout((-c[0], -c[1], -c[2])), x, y))
         m = mid.coords
-        mb = cross_product(m, y)
-        v, w = _witness_column(cross_product(x, m), x, m), _witness_column(mb, m, y)
+        # det(x, m, y) == sg*g.  x is primitive mod g and x x y == 0 mod g, so
+        # y == beta*x mod g with beta a unit, read off a Bezout vector of x mod g.
+        sg, xg = -_dot(c, m) // g, (x[0] % g, x[1] % g, x[2] % g)
+        lam = _bezout(xg)
+        beta = _dot(lam, y) * pow(_dot(lam, xg), -1, g) % g
+        # det(x, m, k) == det(m, y, k') == sg for k = (y - beta*x)/g, k' = (x - beta^-1*y)/g.
+        v = _reduced(_exact_combo(y, x, sg, sg * beta, g), x, m)
+        w = _reduced(_exact_combo(x, y, sg, sg * pow(beta, -1, g), g), m, y)
         witnesses = (IntMatrix(tuple(zip(x, m, v))), IntMatrix(tuple(zip(m, y, w))))
-        t = IntMatrix((mb, cross_product(y, w), cross_product(w, m)))
+        t = IntMatrix((cross_product(m, y), cross_product(y, w), cross_product(w, m)))
         return PathCertificate(waypoints=(a, mid, b), witnesses=witnesses, transform=t)
 
 
@@ -344,6 +357,8 @@ GRAPH_KINDS = ("finegold-skeleton", "surface-complex-s1")
 # build_graph refuses a truncation with more candidate vectors (2h+1)^n:
 # n = 3 up to height 7, n = 2 up to height 31.
 MAX_GRAPH_CANDIDATES = 4096
+# enumerate_vertices refuses more: n = 3 up to height 22, n = 2 up to height 157.
+_MAX_ENUMERATED = 100_000
 
 
 def _check_truncation(height: int, n: int = 2, kind: str = GRAPH_KINDS[0]) -> None:
@@ -362,10 +377,18 @@ def _check_truncation(height: int, n: int = 2, kind: str = GRAPH_KINDS[0]) -> No
         raise ValueError("height must be >= 1")
 
 
+def _check_candidates(height: int, n: int, limit: int) -> None:
+    # With n >= 2 and height >= 1, (2h+1)^n >= 2^n.
+    if n >= limit.bit_length() or (2 * height + 1) ** n > limit:
+        raise ValueError(f"truncation too large: (2*{height}+1)^{n} candidate vectors, "
+                         f"over the limit of {limit}")
+
+
 def enumerate_vertices(n: int, height: int) -> list[ProjVector]:
     """All canonical classes of length n with max-norm <= height, in
-    lexicographic order."""
+    lexicographic order; over 100,000 candidates (2h+1)^n raise ValueError."""
     _check_truncation(height, n)
+    _check_candidates(height, n, _MAX_ENUMERATED)
     out = []
     rng = range(-height, height + 1)
     # product over an ascending range is already lexicographic.
@@ -519,10 +542,7 @@ def build_graph(kind: str, height: int, n: int = 3) -> ComplexGraph:
     raises RuntimeError.
     """
     _check_truncation(height, n, kind)
-    # With n >= 2 and height >= 1, (2h+1)^n >= 2^n.
-    if n >= MAX_GRAPH_CANDIDATES.bit_length() or (2 * height + 1) ** n > MAX_GRAPH_CANDIDATES:
-        raise ValueError(f"truncation too large: (2*{height}+1)^{n} candidate vectors, "
-                         f"over the limit of {MAX_GRAPH_CANDIDATES}")
+    _check_candidates(height, n, MAX_GRAPH_CANDIDATES)
     with _building():
         vertices = tuple(enumerate_vertices(n, height))
         adj = _coprime_minor_pairs([v.coords for v in vertices], height)

@@ -446,11 +446,11 @@ def test_broken_adjacency_rows_are_an_internal_error(capsys, monkeypatch, bad_ro
 def test_broken_bezout_column_is_an_internal_error(capsys, monkeypatch, argv):
     # Negated, so that the middle vertex, canonicalized from the same
     # helper, stays intact and the witness check itself fails.
-    negated = _broken("_witness_column", lambda w: tuple(-e for e in w))
-    monkeypatch.setattr(toruscomplex, "_witness_column", negated)
+    negated = _broken("_reduced", lambda w: tuple(-e for e in w))
+    monkeypatch.setattr(toruscomplex, "_reduced", negated)
     code, out, err = run(capsys, "torus", "path", *argv)
     assert code == 1 and out == ""
-    assert err.startswith("internal error:")
+    assert err.startswith("internal error:") and "determinant" in err
 
 
 def test_broken_seifert_report_is_an_internal_error(capsys, monkeypatch):
@@ -475,7 +475,7 @@ def test_broken_seifert_report_is_an_internal_error(capsys, monkeypatch):
     (toruscomplex, "_members", ("torus", "diameter", "--height", "1")),
     (toruscomplex, "xgcd", ("farey", "neighbors", "1,0", "--height", "3")),
     (toruscomplex, "graph_to_dot", ("torus", "graph", "--height", "1", "--format", "dot")),
-    (toruscomplex, "_witness_column", ("torus", "path", "2,3,5", "0,0,1")),
+    (toruscomplex, "_reduced", ("torus", "path", "2,3,5", "0,0,1")),
     (seifert, "_h1", ("seifert", "info", "--genus", "0", "--b", "-1",
                       "--fiber", "2:1", "--fiber", "2:1")),
 ], ids=["simplex", "simplex-square", "simplex-facets", "simplex-surface", "graph", "distance",

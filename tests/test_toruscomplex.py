@@ -308,18 +308,71 @@ def _counted(monkeypatch, name):
 
 @pytest.mark.parametrize("path", [connect_path, two_hop_path])
 def test_two_hop_pair_is_crossed_once(monkeypatch, path):
-    # One for the pair (its edge test and middle vertex), four in the route
-    # (m x b, a x m and the transform's last two rows), three in the checks.
+    # One for the pair (its edge test and middle vertex), three in the route
+    # (the transform's rows, m x b first), three in the checks; no a x m.
     calls = _counted(monkeypatch, "cross_product")
     path(V(1, 2, 0), V(1, 0, 0))
-    assert len(calls) == 8
+    assert len(calls) == 7
+
+
+def _seeded_pair(rng, bound, g=None):
+    # A seeded pair of classes with entries up to bound; with g, the second
+    # is j*a + g*r, so that g divides every entry of a x b.
+    while True:
+        u, r = ([rng.randint(-bound, bound) for _ in range(3)] for _ in range(2))
+        j = rng.randint(1, bound)
+        w = r if g is None else [j * e + g * f for e, f in zip(u, r)]
+        if math.gcd(*u) == math.gcd(*w) == 1 and canonicalize(u) != canonicalize(w):
+            return canonicalize(u), canonicalize(w)
+
+
+@pytest.mark.parametrize("path", [connect_path, two_hop_path])
+def test_two_hop_runs_one_full_size_bezout_vector(monkeypatch, path):
+    """The middle vertex's Bezout vector of b x a is the route's one on a
+    full-size cross product; the witnesses at m take theirs of a mod g."""
+    a, b = _seeded_pair(random.Random(5), 10**50, 10**30 + 7)
+    c = cross_product(b.coords, a.coords)
+    g = math.gcd(*c)
+    calls = _counted(monkeypatch, "_bezout")
+    path(a, b)
+    assert g % (10**30 + 7) == 0
+    assert calls == [(c,), (tuple(e % g for e in a.coords),)]
+
+
+def test_two_hop_witnesses_match_the_bezout_route():
+    """The witnesses at the middle vertex m start from k = (b - beta*a)/g and
+    k' = (a - beta^-1*b)/g, with b == beta*a mod g = gcd(a x b).  Reduced,
+    they equal the columns reduced from the Bezout vectors of a x m and
+    m x b, on seeded pairs at 10^3, 10^50 and 10^400, with forced g up to
+    10^30 + 7, and on edges (g = 1) through two_hop_path."""
+    bezout, reduced = toruscomplex._bezout, toruscomplex._reduced
+    rng = random.Random(24)
+    pairs = [_seeded_pair(rng, 10**k) for k in (3, 50, 400) for _ in range(30)]
+    pairs += [_seeded_pair(rng, 10**k, rng.choice([2, 12, rng.randint(2, 10**6), 10**30 + 7]))
+              for k in (3, 50) for _ in range(30)]
+    pairs += [(V(1, 0, 0), V(0, 1, 0)), (V(2, 3, 5), V(0, 0, 1))]
+    assert sum(intersection_components(a, b) == 1 for a, b in pairs) >= 2
+    for a, b in pairs:
+        x, y, (c, g) = a.coords, b.coords, toruscomplex._pair(a, b)
+        cert = two_hop_path(a, b)
+        m = cert.waypoints[1].coords
+        sg, xg = -toruscomplex._dot(c, m) // g, [e % g for e in x]
+        lam = bezout(xg)
+        beta = toruscomplex._dot(lam, y) * pow(toruscomplex._dot(lam, xg), -1, g) % g
+        k = [sg * (e - beta * f) // g for e, f in zip(y, x)]
+        k2 = [sg * (f - pow(beta, -1, g) * e) // g for e, f in zip(y, x)]
+        assert all((e - beta * f) % g == 0 for e, f in zip(y, x))
+        assert det(IntMatrix.from_columns([x, m, k])) == det(IntMatrix.from_columns([m, y, k2])) == 1
+        v, w = cert.witnesses[0].column(2), cert.witnesses[1].column(2)
+        assert v == reduced(k, x, m) == reduced(bezout(cross_product(x, m)), x, m)
+        assert w == reduced(k2, m, y) == reduced(bezout(cross_product(m, y)), m, y)
 
 
 def test_edge_witness_refuses_a_non_edge_from_its_count(monkeypatch):
-    crosses, columns = _counted(monkeypatch, "cross_product"), _counted(monkeypatch, "_witness_column")
+    crosses, bezouts = _counted(monkeypatch, "cross_product"), _counted(monkeypatch, "_bezout")
     with pytest.raises(ValueError, match="^not an edge: pair meets in 2 components$"):
         edge_witness(V(1, 2, 0), V(1, 0, 0))
-    assert (len(crosses), len(columns)) == (1, 0)
+    assert (len(crosses), len(bezouts)) == (1, 0)
 
 
 def _with_column(w, j, col):
@@ -385,7 +438,7 @@ def test_construction_faults_raise_runtime_error(monkeypatch):
         with pytest.raises(RuntimeError):
             two_hop_path(a, b)
     monkeypatch.undo()
-    monkeypatch.setattr(toruscomplex, "_witness_column", _mapped("_witness_column", lambda e: -e))
+    monkeypatch.setattr(toruscomplex, "_reduced", _mapped("_reduced", lambda e: -e))
     # The negated helper leaves the canonical middle vertex intact.
     for a, b in ((V(1, 0, 0), V(0, 1, 0)), (V(1, 2, 0), V(1, 0, 0))):
         with pytest.raises(RuntimeError, match="determinant"):
@@ -441,6 +494,25 @@ def test_enumerate_vertices_examples():
         enumerate_vertices(2, 0)
     with pytest.raises(ValueError):
         enumerate_vertices(1, 2)
+
+
+def test_enumerate_vertices_refuses_large_boxes_up_front(monkeypatch):
+    """Over 100,000 candidate vectors (2h+1)^n raise before the first one;
+    height 10 at n = 3 (21^3, acceptance criterion 4) is admitted."""
+
+    class Enumerated(Exception):
+        pass
+
+    def product_stub(*args, **kwargs):
+        raise Enumerated
+
+    monkeypatch.setattr(toruscomplex, "product", product_stub)
+    for n, h in ((3, 10), (3, 22), (2, 157), (10, 1)):
+        with pytest.raises(Enumerated):
+            enumerate_vertices(n, h)
+    for n, h in ((3, 10**4), (3, 23), (2, 158), (11, 1), (10**9, 1), (3, 10**30)):
+        with pytest.raises(ValueError, match="^truncation too large"):
+            enumerate_vertices(n, h)
 
 
 def test_enumerate_vertices_matches_independent_enumeration():
