@@ -31,7 +31,7 @@ the output is a self-certifying object rather than a bare assertion.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import chain, compress, islice, product, repeat, starmap
 from math import gcd, isqrt
 from operator import itemgetter, lt, mod, mul, or_, xor
@@ -512,6 +512,8 @@ class ComplexGraph(_Frozen):
         return tuple(adj)
 
     def index_of(self, v: ProjVector) -> int:
+        if not isinstance(v, ProjVector):
+            raise TypeError(f"vertex must be a ProjVector, got {v!r}")
         try:
             return self._index[v]
         except KeyError:
@@ -549,15 +551,17 @@ def build_graph(kind: str, height: int, n: int = 3) -> ComplexGraph:
         return ComplexGraph._of_bitsets(kind, height, vertices, adj)
 
 
+def _reach(adj: tuple[int, ...], layer: int) -> int:
+    # The one frontier step: the OR of the rows of the vertices in layer.
+    return reduce(or_, _members(layer, adj), 0)
+
+
 def _bfs_layers(adj: tuple[int, ...], start: int):
     # Bitsets of the vertices at distance 0, 1, 2, ... from start.
     seen = layer = 1 << start
     while layer:
         yield layer
-        reach = 0
-        for k in _members(layer, range(len(adj))):
-            reach |= adj[k]
-        layer = reach & ~seen
+        layer = _reach(adj, layer) & ~seen
         seen |= layer
 
 
@@ -567,12 +571,23 @@ def bfs_distance(g: ComplexGraph, a: ProjVector, b: ProjVector) -> int | None:
     None when no path exists within the truncated graph.  Because
     intermediate vertices of true geodesics may exceed the height bound,
     a finite value is an upper bound for the distance in the full complex,
-    never an exact claim about it.
+    never an exact claim about it.  The search grows from both ends, the
+    smaller frontier first, so distances 1 and 2 take one bit test or AND.
     """
     ia, ib = g.index_of(a), g.index_of(b)
     with _building():
-        layers = _bfs_layers(g.adjacency, ia)
-        return next((dist for dist, layer in enumerate(layers) if layer >> ib & 1), None)
+        adj = g.adjacency
+        if ia == ib or adj[ia] >> ib & 1:
+            return 0 if ia == ib else 1
+        # Balls around a and b, radii summing to dist, with their rims: they first meet at d(a, b).
+        near, far, dist = (adj[ia] | 1 << ia, adj[ia]), (adj[ib] | 1 << ib, adj[ib]), 2
+        while not near[0] & far[0]:
+            if near[1].bit_count() > far[1].bit_count():
+                near, far = far, near
+            if not (layer := _reach(adj, near[1]) & ~near[0]):
+                return None
+            near, dist = (near[0] | layer, layer), dist + 1
+        return dist
 
 
 def truncation_diameter(g: ComplexGraph) -> tuple[int | None, tuple[ProjVector, ProjVector] | None]:

@@ -471,7 +471,7 @@ def test_broken_seifert_report_is_an_internal_error(capsys, monkeypatch):
     (toruscomplex, "_eliminate", ("torus", "simplex", "1,0,0", "0,1,0", "0,0,1", "1,1,2")),
     (toruscomplex, "cross_product", ("torus", "simplex", "1,0,0", "0,1,0", "--complex", "surface")),
     (toruscomplex, "_coprime_minor_pairs", ("torus", "graph", "--height", "1")),
-    (toruscomplex, "_bfs_layers", ("torus", "distance", "1,0,0", "0,1,0", "--height", "1")),
+    (toruscomplex, "enumerate_vertices", ("torus", "distance", "1,0,0", "0,1,0", "--height", "1")),
     (toruscomplex, "_members", ("torus", "diameter", "--height", "1")),
     (toruscomplex, "xgcd", ("farey", "neighbors", "1,0", "--height", "3")),
     (toruscomplex, "graph_to_dot", ("torus", "graph", "--height", "1", "--format", "dot")),

@@ -612,10 +612,17 @@ def test_build_graph_matches_golden(case):
     assert hashlib.sha256(payload.encode()).hexdigest() == case["sha256"]
 
 
-@pytest.mark.parametrize("kind, n, heights", [("finegold-skeleton", 2, range(1, 9)),
-                                              ("finegold-skeleton", 3, range(1, 5)),
-                                              ("surface-complex-s1", 3, range(1, 5))])
+@pytest.mark.parametrize("kind, n, heights", [("finegold-skeleton", 2, range(1, 32)),
+                                              ("finegold-skeleton", 3, range(1, 8)),
+                                              ("surface-complex-s1", 3, range(1, 8)),
+                                              ("finegold-skeleton", 4, range(1, 4)),
+                                              ("finegold-skeleton", 5, range(1, 3)),
+                                              ("finegold-skeleton", 6, range(1, 2)),
+                                              ("finegold-skeleton", 7, range(1, 2))])
 def test_seeded_adjacency_matches_derived(kind, n, heights):
+    """On every truncation build_graph accepts, its seeded bitsets equal the
+    adjacency derived from its edges: the seeded rows are symmetric, which
+    `_of_bitsets` trusts and `bfs_distance` reads from both ends."""
     for h in heights:
         g = build_graph(kind, h, n)
         derived = ComplexGraph(kind, h, g.vertices, g.edges)
@@ -682,6 +689,24 @@ def test_bfs_distance_vertex_not_in_graph():
         bfs_distance(g, V(1, 2, 0), V(1, 0, 0))
 
 
+def test_graph_queries_refuse_a_non_projvector():
+    g = build_graph("surface-complex-s1", 1)
+    for query in (g.index_of, g.degree, lambda v: bfs_distance(g, V(1, 0, 0), v)):
+        for v in ((1, 0, 0), [1, 0, 0], "1,0,0", None):
+            with pytest.raises(TypeError, match="vertex must be a ProjVector"):
+                query(v)
+
+
+def test_bfs_distance_takes_no_frontier_step_within_two_hops(monkeypatch):
+    """Distances 0, 1 and 2 take bit tests on the rows of the two ends: no
+    `_members` call, so no frontier step."""
+    g = build_graph("surface-complex-s1", 5)
+    calls = _counted(monkeypatch, "_members")
+    probes = [(V(1, 2, 3), V(1, 2, 3)), (V(1, 0, 0), V(0, 1, 0)), (V(1, 2, 0), V(1, 0, 0))]
+    assert [bfs_distance(g, a, b) for a, b in probes] == [0, 1, 2]
+    assert calls == []
+
+
 def test_truncation_diameter_small():
     g = build_graph("surface-complex-s1", 1)
     diam, pair = truncation_diameter(g)
@@ -699,6 +724,20 @@ def test_bfs_unreachable_in_edgeless_graph():
     assert bfs_distance(g, V(1, 0, 0), V(0, 1, 0)) is None
     diam, pair = truncation_diameter(g)
     assert diam is None and pair == (V(1, 0, 0), V(0, 1, 0))
+
+
+def test_bfs_distance_fault_is_an_internal_error(monkeypatch):
+    """A fault in a frontier step, after the vertices are found, raises
+    RuntimeError; a vertex outside the graph stays a ValueError."""
+    def fault(*args):
+        raise ValueError("injected fault")
+
+    g = ComplexGraph("surface-complex-s1", 1, (V(1, 0, 0), V(0, 1, 0)), ())
+    monkeypatch.setattr(toruscomplex, "_reach", fault)
+    with pytest.raises(RuntimeError, match="injected fault"):
+        bfs_distance(g, V(1, 0, 0), V(0, 1, 0))
+    with pytest.raises(ValueError, match="not in the graph"):
+        bfs_distance(g, V(1, 0, 0), V(1, 1, 0))
 
 
 def test_complex_graph_validation():
