@@ -66,7 +66,8 @@ class SeifertInvariants(_Frozen):
             if alpha <= 0:
                 raise ValueError(f"fiber multiplicity must be positive, got {alpha}")
             if math.gcd(alpha, beta) != 1:
-                raise ValueError(f"fiber pair {f} is not coprime")
+                with _any_digits():
+                    raise ValueError(f"fiber pair {f} is not coprime")
 
 
 def normalize(inv: SeifertInvariants) -> SeifertInvariants:
@@ -100,7 +101,8 @@ def horizontal_degree(inv: SeifertInvariants) -> int:
     Defined only for Euler number 0 (no horizontal surface otherwise)."""
     e = euler_number(inv)
     if e != 0:
-        raise ValueError(f"no horizontal surface: Euler number is {e}, not 0")
+        with _any_digits():
+            raise ValueError(f"no horizontal surface: Euler number is {e}, not 0")
     return math.lcm(*(alpha for alpha, _ in inv.fibers))
 
 

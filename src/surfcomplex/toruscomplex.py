@@ -36,7 +36,7 @@ from itertools import chain, compress, islice, product, repeat, starmap
 from math import gcd, isqrt
 from operator import itemgetter, lt, mod, mul, or_, xor
 
-from .exactlin import IntMatrix, _building, _eliminate, _Frozen, content, minors_gcd, xgcd
+from .exactlin import IntMatrix, _any_digits, _building, _eliminate, _Frozen, content, minors_gcd, xgcd
 
 __all__ = [
     "ProjVector",
@@ -79,11 +79,12 @@ class ProjVector(_Frozen, order=True):
         for e in c:
             if type(e) is not int:
                 raise TypeError(f"non-integer coordinate {e!r}")
-        g = content(c)
+        g = gcd(*c)
         if g == 0:
             raise ValueError("zero vector is not a vertex")
         if g != 1:
-            raise ValueError(f"vector is not primitive (content {g})")
+            with _any_digits():
+                raise ValueError(f"vector is not primitive (content {g})")
         if next(filter(None, c)) < 0:
             raise ValueError("not canonical: first nonzero coordinate is negative")
 
@@ -474,7 +475,8 @@ class ComplexGraph(_Frozen):
         _check_truncation(self.height, _vertex_length(self.vertices), self.kind)
         for v in self.vertices:
             if max(abs(e) for e in v.coords) > self.height:
-                raise ValueError(f"vertex ({v.label}) exceeds height {self.height}")
+                with _any_digits():
+                    raise ValueError(f"vertex ({v.label}) exceeds height {self.height}")
         if len(set(self.vertices)) != len(self.vertices):
             raise ValueError("repeated vertex")
 
@@ -499,8 +501,8 @@ class ComplexGraph(_Frozen):
         return g
 
     @cached_property
-    def _index(self) -> dict[ProjVector, int]:
-        return {v: i for i, v in enumerate(self.vertices)}
+    def _index(self) -> dict[tuple[int, ...], int]:
+        return {v.coords: i for i, v in enumerate(self.vertices)}
 
     @cached_property
     def adjacency(self) -> tuple[int, ...]:
@@ -512,12 +514,16 @@ class ComplexGraph(_Frozen):
         return tuple(adj)
 
     def index_of(self, v: ProjVector) -> int:
+        """Position of v in `vertices`, keyed by `v.coords`, a tuple of ints hashed
+        in C; TypeError for a non-ProjVector, ValueError for a class not in the graph."""
         if not isinstance(v, ProjVector):
-            raise TypeError(f"vertex must be a ProjVector, got {v!r}")
+            with _any_digits():
+                raise TypeError(f"vertex must be a ProjVector, got {v!r}")
         try:
-            return self._index[v]
+            return self._index[v.coords]
         except KeyError:
-            raise ValueError(f"vertex ({v.label}) is not in the graph") from None
+            with _any_digits():
+                raise ValueError(f"vertex ({v.label}) is not in the graph") from None
 
     def neighbors(self, i: int) -> list[int]:
         """Ascending neighbor indices; empty for an index outside the graph."""
@@ -575,10 +581,10 @@ def bfs_distance(g: ComplexGraph, a: ProjVector, b: ProjVector) -> int | None:
     smaller frontier first, so distances 1 and 2 take one bit test or AND.
     """
     ia, ib = g.index_of(a), g.index_of(b)
+    adj = g.adjacency
+    if ia == ib or adj[ia] >> ib & 1:
+        return 0 if ia == ib else 1
     with _building():
-        adj = g.adjacency
-        if ia == ib or adj[ia] >> ib & 1:
-            return 0 if ia == ib else 1
         # Balls around a and b, radii summing to dist, with their rims: they first meet at d(a, b).
         near, far, dist = (adj[ia] | 1 << ia, adj[ia]), (adj[ib] | 1 << ib, adj[ib]), 2
         while not near[0] & far[0]:
@@ -626,9 +632,9 @@ def farey_neighbors(v: ProjVector, height: int) -> list[ProjVector]:
 
     For v = (p, q), these are the canonical (r, s) with max-norm <= height
     and |p*s - q*r| == 1: classes of curves on the 2-torus meeting a curve
-    of slope v exactly once.  A walk over more than MAX_GRAPH_CANDIDATES
-    points of their line raises ValueError before any vector is built; any
-    other ValueError is an internal fault and raises RuntimeError.
+    of slope v exactly once, signed and sorted as int pairs, then one
+    ProjVector each.  Over MAX_GRAPH_CANDIDATES points of their line raise
+    ValueError before any is built; a later ValueError is a RuntimeError.
     """
     if len(v) != 2:
         raise ValueError("farey vertices have length 2")
@@ -644,8 +650,8 @@ def farey_neighbors(v: ProjVector, height: int) -> list[ProjVector]:
         raise ValueError(f"truncation too large: {ts.stop - ts.start} candidate neighbors, "
                          f"over the limit of {MAX_GRAPH_CANDIDATES}")
     with _building():
-        line = [(r0 + t * p, s0 + t * q) for t in ts]
-        return sorted(canonicalize(u) for u in line if abs(u[0]) <= height and abs(u[1]) <= height)
+        line = [(r, s) for t in ts for r, s in [(r0 + t * p, s0 + t * q)] if abs(r) <= height >= abs(s)]
+        return list(map(ProjVector, sorted((r, s) if (r or s) > 0 else (-r, -s) for r, s in line)))
 
 
 def graph_to_json_dict(g: ComplexGraph) -> dict:

@@ -204,6 +204,16 @@ def test_horizontal_degree_examples():
         horizontal_degree(SFS(2, 1))
 
 
+def test_seifert_errors_are_worded_at_any_magnitude():
+    """5000-digit inputs get the check's own message, not Python's
+    int-to-str digit limit."""
+    big = 10**5000
+    with pytest.raises(ValueError, match="^fiber pair \\(2000.*0, 2\\) is not coprime$"):
+        SFS(0, 0, ((2 * big, 2),))
+    with pytest.raises(ValueError, match="^no horizontal surface: Euler number is 1000.*0, not 0$"):
+        horizontal_degree(SFS(0, big))
+
+
 # ----------------------------------------------------------- presentation
 
 

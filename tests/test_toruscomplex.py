@@ -707,11 +707,55 @@ def test_bfs_distance_takes_no_frontier_step_within_two_hops(monkeypatch):
     assert calls == []
 
 
+def test_graph_queries_hash_coordinate_tuples(monkeypatch):
+    """index_of, degree and bfs_distance on the height-5 graph look vertices
+    up by their coordinate tuples, with no `ProjVector.__hash__` call, and
+    find an equal vector that is another object."""
+    g = build_graph("surface-complex-s1", 5)
+    hashed = []
+    original = ProjVector.__hash__
+    monkeypatch.setattr(ProjVector, "__hash__", lambda self: hashed.append(self) or original(self))
+    u = ProjVector(tuple([1, 2, 3]))
+    i = g.index_of(u)
+    assert g.vertices[i] == u and g.vertices[i] is not u and g.vertices[i].coords is not u.coords
+    assert g.degree(u) == g.adjacency[i].bit_count()
+    probes = [(u, u), (V(1, 0, 0), V(0, 1, 0)), (V(1, 2, 0), V(1, 0, 0))]
+    assert [bfs_distance(g, a, b) for a, b in probes] == [0, 1, 2]
+    assert hashed == []
+
+
+def test_graph_queries_word_their_errors_at_any_magnitude():
+    """A 5000-digit vertex, or a 5000-digit tuple passed as one, gets the
+    query's own message, not Python's int-to-str digit limit."""
+    g = build_graph("surface-complex-s1", 2)
+    big = 10**5000
+    outside = ProjVector((big, 1, 1))
+    for query in (g.index_of, g.degree, lambda v: bfs_distance(g, V(1, 0, 0), v)):
+        with pytest.raises(TypeError, match="^vertex must be a ProjVector, got \\(1000"):
+            query((big, 1, 1))
+        with pytest.raises(ValueError, match="^vertex \\(1000.*0,1,1\\) is not in the graph$"):
+            query(outside)
+    with pytest.raises(ValueError, match="^vertex \\(1000.*0,1,1\\) exceeds height 1$"):
+        ComplexGraph("surface-complex-s1", 1, (outside,), ())
+    with pytest.raises(ValueError, match="^vector is not primitive \\(content 2000.*0\\)$"):
+        ProjVector((2 * big, 0))
+
+
 def test_truncation_diameter_small():
     g = build_graph("surface-complex-s1", 1)
     diam, pair = truncation_diameter(g)
     assert diam == 2
     assert pair is not None and bfs_distance(g, *pair) == 2
+
+
+def test_truncation_diameter_is_two_at_every_cli_height():
+    """The surface-complex truncations at heights 1-7 all have diameter 2;
+    the realizing pair is the lexicographically first."""
+    pairs = {1: ((0, 1, -1), (0, 1, 1)), 2: ((0, 0, 1), (0, 2, -1)), 3: ((0, 0, 1), (0, 2, -3)),
+             4: ((0, 0, 1), (0, 2, -3)), 5: ((0, 0, 1), (0, 2, -5)), 6: ((0, 0, 1), (0, 2, -5)),
+             7: ((0, 0, 1), (0, 2, -7))}
+    for h, (a, b) in pairs.items():
+        assert truncation_diameter(build_graph("surface-complex-s1", h)) == (2, (V(*a), V(*b))), h
 
 
 def test_bfs_unreachable_in_edgeless_graph():
@@ -829,6 +873,21 @@ def test_farey_neighbors_match_brute_force():
             p, q = v.coords
             want = [u for u in box if abs(p * u.coords[1] - q * u.coords[0]) == 1]
             assert farey_neighbors(v, h) == want, (v, h)
+
+
+def test_farey_neighbors_build_one_projvector_each(monkeypatch):
+    """Neighbors are signed and sorted as coordinate pairs: no `canonicalize`
+    call, and one ProjVector built per neighbor."""
+    vs = [V(1, 0), V(0, 1), V(1, -1), V(5, -7), V(3, 8), V(30, 7)]
+    canonicalized = _counted(monkeypatch, "canonicalize")
+    built = []
+    original = ProjVector.__post_init__
+    monkeypatch.setattr(ProjVector, "__post_init__", lambda self: built.append(self) or original(self))
+    for v in vs:
+        built.clear()
+        got = farey_neighbors(v, 24)
+        assert len(built) == len(got) and set(map(id, built)) == set(map(id, got))
+    assert canonicalized == []
 
 
 def test_farey_neighbors_size_guard():
